@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-sim bench-lanes bench-opt opt-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test bench-serve check
+.PHONY: build test vet fmt-check race flake bench bench-smoke bench-sim bench-opt opt-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test bench-serve check
 
 build:
 	$(GO) build ./...
@@ -25,18 +25,27 @@ fmt-check:
 race:
 	./scripts/race.sh
 
-## bench: simulator and generator throughput benchmarks.
+## flake: the flake gate for the concurrency packages — every test of the
+## service, fabric, campaign and store packages, 20 times under -race.
+## A single failure fails the gate.
+flake:
+	$(GO) test -race -count=20 ./internal/service ./internal/fabric ./internal/campaign ./internal/store
+
+## bench: simulator and generator throughput benchmarks. The
+## BenchmarkSimulate/{lanes,scalar} pairs give the lane engine's speedup
+## over the scalar fallback.
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/ .
 
-## bench-sim: regenerate BENCH_sim.json (compiled-schedule speedup record,
-## including the lanes section with the bit-parallel speedup over scalar).
+## bench-smoke: run every simulator benchmark once, so a broken benchmark
+## fails the gate; writes no file.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
+
+## bench-sim: regenerate BENCH_sim.json (the lanes section measured now,
+## next to the recorded per-scenario baseline and scalar schedule).
 bench-sim:
 	$(GO) run ./cmd/experiments -bench-sim BENCH_sim.json
-
-## bench-lanes: alias for the BENCH_sim.json regeneration — named for the
-## lanes section it fills (speedup_vs_scalar per Table-1 workload).
-bench-lanes: bench-sim
 
 ## bench-opt: regenerate BENCH_opt.json — the search-based optimizer run
 ## against the paper's Table 1 baselines (37n / 35n for List #1, 9n for
@@ -129,8 +138,8 @@ bench-serve:
 verify-oracle:
 	$(GO) run ./cmd/marchverify -seed 1 -n 1000 -props
 
-## check: the full local CI gate — build, vet, gofmt, tests, race, chaos,
-## the cluster gate, the optimizer smoke gate, the diagnosis gate, the
-## oracle cross-check, the lane benchmark record, the overload SLO gate,
-## smoke.
-check: build vet fmt-check test race chaos cluster-test opt-test diag-test verify-oracle bench-lanes load-test smoke
+## check: the full local CI gate — build, vet, gofmt, tests, race, the
+## flake gate, chaos, the cluster gate, the optimizer smoke gate, the
+## diagnosis gate, the oracle cross-check, the simulator benchmark smoke
+## run, the overload SLO gate, smoke.
+check: build vet fmt-check test race flake chaos cluster-test opt-test diag-test verify-oracle bench-smoke load-test smoke

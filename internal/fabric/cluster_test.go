@@ -122,6 +122,12 @@ func TestClusterByteIdentical(t *testing.T) {
 // worker crashes (its context dies mid-lease, heartbeats stop) at every
 // possible shard boundary in turn; lease expiry reassigns its range and
 // the merged result set must still match the single-node bytes exactly.
+//
+// The coordinator runs on an injected clock, and the survivors join only
+// after the victim has crashed and the clock has passed its lease's TTL.
+// Expiry therefore always happens before any steal: a survivor joining
+// earlier could steal the very shard the victim was scripted to crash on,
+// and the victim would then finish its lease and never die holding work.
 func TestClusterKillWorkerByteIdentical(t *testing.T) {
 	spec := clusterSpec()
 	want := singleNodeBytes(t, spec)
@@ -130,8 +136,9 @@ func TestClusterKillWorkerByteIdentical(t *testing.T) {
 		kill := kill
 		t.Run(fmt.Sprintf("kill-after-%d-shards", kill), func(t *testing.T) {
 			root := t.TempDir()
+			clock := &fakeClock{t: time.Unix(1000, 0)}
 			coord, srv := startCluster(t, Config{
-				Root: root, LeaseShards: 3, LeaseTTL: 150 * time.Millisecond,
+				Root: root, LeaseShards: 3, LeaseTTL: 150 * time.Millisecond, Now: clock.Now,
 			})
 			if _, err := coord.Submit(spec, SubmitOptions{}); err != nil {
 				t.Fatal(err)
@@ -148,23 +155,27 @@ func TestClusterKillWorkerByteIdentical(t *testing.T) {
 			victim := &Worker{
 				Coordinator: srv.URL, Version: "test-v1",
 				Poll: 5 * time.Millisecond,
-				RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, lanesOff bool) ([]store.Record, error) {
+				RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error) {
 					if done >= kill {
 						crash()
 						return nil, ctx.Err()
 					}
 					done++
-					return campaign.ExecuteShard(ctx, sh, memo, lanesOff)
+					return campaign.ExecuteShard(ctx, sh, memo)
 				},
 			}
 			go victim.Run(victimCtx)
 
-			// Give the victim time to grab the first lease before the
-			// survivors join, so the kill actually interrupts held work.
-			waitFor(t, ctx, func() bool {
-				st, _ := coord.SessionStatusByID(spec.Canonical().ID())
-				return len(st.Leases) > 0 || st.Done
-			})
+			// The victim alone holds the first lease (3 shards > kill), so
+			// the kill always interrupts held work. Once it has crashed,
+			// move the clock past the lease's TTL: the survivors' first
+			// lease request expires the dead lease before anything else.
+			select {
+			case <-victimCtx.Done():
+			case <-ctx.Done():
+				t.Fatal("victim never crashed")
+			}
+			clock.Advance(time.Minute)
 
 			survivors := []*Worker{
 				{Coordinator: srv.URL, Version: "test-v1", Poll: 5 * time.Millisecond, ExitOnDrain: true},
@@ -206,11 +217,11 @@ func TestClusterStealEngages(t *testing.T) {
 	slow := &Worker{
 		Coordinator: srv.URL, Version: "test-v1", Name: "slow",
 		Poll: 5 * time.Millisecond, ExitOnDrain: true,
-		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, lanesOff bool) ([]store.Record, error) {
+		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error) {
 			if !sleepCtx(ctx, 150*time.Millisecond) {
 				return nil, ctx.Err()
 			}
-			return campaign.ExecuteShard(ctx, sh, memo, lanesOff)
+			return campaign.ExecuteShard(ctx, sh, memo)
 		},
 	}
 	fast := &Worker{

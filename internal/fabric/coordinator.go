@@ -74,12 +74,11 @@ func (c Config) schema() string {
 	return c.Schema
 }
 
-// SubmitOptions tunes one distributed campaign.
-type SubmitOptions struct {
-	// DisableLanes propagates the scalar-engine escape hatch to every
-	// worker (see campaign.RunOptions.DisableLanes).
-	DisableLanes bool
-}
+// SubmitOptions tunes one distributed campaign. It has no fields: a
+// campaign's records are a pure function of its spec, so there is nothing
+// left to tune. The type stays so Submit's signature, and every caller
+// that passes SubmitOptions{}, keeps compiling.
+type SubmitOptions struct{}
 
 // shard scheduling states. "done" means "never schedule again": the shard
 // is committed or staged in the merger awaiting its plan-order turn.
@@ -98,16 +97,15 @@ type lease struct {
 }
 
 type session struct {
-	spec         campaign.Spec // canonical
-	id           string
-	dir          string
-	plan         []campaign.Shard
-	state        []uint8
-	merger       *Merger
-	st           *store.Store
-	leases       map[string]*lease
-	disableLanes bool
-	done         bool
+	spec   campaign.Spec // canonical
+	id     string
+	dir    string
+	plan   []campaign.Shard
+	state  []uint8
+	merger *Merger
+	st     *store.Store
+	leases map[string]*lease
+	done   bool
 }
 
 func (s *session) remaining(l *lease) []int {
@@ -221,15 +219,14 @@ func (c *Coordinator) Submit(spec campaign.Spec, opts SubmitOptions) (SessionSta
 
 	plan := campaign.Plan(can)
 	s := &session{
-		spec:         can,
-		id:           id,
-		dir:          dir,
-		plan:         plan,
-		state:        make([]uint8, len(plan)),
-		merger:       NewMerger(st, plan),
-		st:           st,
-		leases:       make(map[string]*lease),
-		disableLanes: opts.DisableLanes,
+		spec:   can,
+		id:     id,
+		dir:    dir,
+		plan:   plan,
+		state:  make([]uint8, len(plan)),
+		merger: NewMerger(st, plan),
+		st:     st,
+		leases: make(map[string]*lease),
 	}
 	for i := 0; i < s.merger.Committed() && i < len(plan); i++ {
 		s.state[i] = shardDone
@@ -479,13 +476,12 @@ func (c *Coordinator) grantLocked(s *session, worker string, from, to int, stole
 	}
 	c.logf("fabric: lease %s: shards [%d,%d) of %s -> worker %s (stolen=%v)", l.id, from, to, s.id, worker, stolen)
 	return &LeaseGrant{
-		Lease:        l.id,
-		Campaign:     s.id,
-		Spec:         s.spec,
-		From:         from,
-		To:           to,
-		TTLMillis:    c.cfg.leaseTTL().Milliseconds(),
-		DisableLanes: s.disableLanes,
+		Lease:     l.id,
+		Campaign:  s.id,
+		Spec:      s.spec,
+		From:      from,
+		To:        to,
+		TTLMillis: c.cfg.leaseTTL().Milliseconds(),
 	}
 }
 

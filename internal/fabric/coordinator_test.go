@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,11 +10,24 @@ import (
 )
 
 // fakeClock is the injectable coordinator clock: expiry becomes a pure
-// function of explicit Advance calls.
-type fakeClock struct{ t time.Time }
+// function of explicit Advance calls. It is safe for the concurrent use of
+// an HTTP-served coordinator.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (c *fakeClock) Now() time.Time          { return c.t }
-func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
 
 func newTestCoordinator(t *testing.T, clock *fakeClock, leaseShards int) *Coordinator {
 	t.Helper()

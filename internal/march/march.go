@@ -72,6 +72,32 @@ func (o AddrOrder) Addresses(n int) []int {
 	return addrs
 }
 
+// OrderCombinations expands every ⇕ entry of orders into both concrete
+// orders: it returns 2^k assignments for k ⇕ entries, where bit j of an
+// assignment's index selects ⇓ (1) or ⇑ (0) for the j-th ⇕ entry. Concrete
+// entries are copied unchanged, and the input is not modified.
+func OrderCombinations(orders []AddrOrder) [][]AddrOrder {
+	var anyIdx []int
+	for i, o := range orders {
+		if o == Any {
+			anyIdx = append(anyIdx, i)
+		}
+	}
+	out := make([][]AddrOrder, 0, 1<<len(anyIdx))
+	for bits := 0; bits < 1<<len(anyIdx); bits++ {
+		combo := append([]AddrOrder(nil), orders...)
+		for j, idx := range anyIdx {
+			if bits>>j&1 == 0 {
+				combo[idx] = Up
+			} else {
+				combo[idx] = Down
+			}
+		}
+		out = append(out, combo)
+	}
+	return out
+}
+
 // Element is a March Element: a sequence of operations applied to every
 // memory cell in the given address order before moving to the next cell.
 type Element struct {

@@ -59,6 +59,33 @@ func TestAddressesReverseQuick(t *testing.T) {
 	}
 }
 
+func TestOrderCombinations(t *testing.T) {
+	in := []AddrOrder{Any, Down, Any}
+	got := OrderCombinations(in)
+	want := [][]AddrOrder{
+		{Up, Down, Up},
+		{Down, Down, Up},
+		{Up, Down, Down},
+		{Down, Down, Down},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d combinations, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("combination %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	if in[0] != Any || in[2] != Any {
+		t.Fatalf("input modified: %v", in)
+	}
+	if got := OrderCombinations([]AddrOrder{Up}); len(got) != 1 || got[0][0] != Up {
+		t.Fatalf("no ⇕ element: got %v, want the single concrete assignment", got)
+	}
+}
+
 func TestLengthAndComplexity(t *testing.T) {
 	m := MustParse("x", "c(w0) ^(r0,w1) v(r1,w0)")
 	if m.Length() != 5 {

@@ -291,29 +291,14 @@ func detectsScenarios(t Test, f Fault, scenarios []scenario, cfg Config) (int, e
 	return detected, nil
 }
 
+// orderCombos expands every ⇕ element of t into both concrete orders,
+// with no cap on the number of ⇕ elements.
 func orderCombos(t Test) [][]march.AddrOrder {
-	var anyIdx []int
 	base := make([]march.AddrOrder, len(t.Elems))
 	for i, e := range t.Elems {
 		base[i] = e.Order
-		if e.Order == march.Any {
-			anyIdx = append(anyIdx, i)
-		}
 	}
-	out := make([][]march.AddrOrder, 0, 1<<len(anyIdx))
-	for bits := 0; bits < 1<<len(anyIdx); bits++ {
-		orders := make([]march.AddrOrder, len(base))
-		copy(orders, base)
-		for j, idx := range anyIdx {
-			if bits>>j&1 == 0 {
-				orders[idx] = march.Up
-			} else {
-				orders[idx] = march.Down
-			}
-		}
-		out = append(out, orders)
-	}
-	return out
+	return march.OrderCombinations(base)
 }
 
 // Report summarizes a two-port simulation.

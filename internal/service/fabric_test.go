@@ -56,7 +56,7 @@ func TestFabricThroughService(t *testing.T) {
 	defer cancel()
 	slow := &fabric.Worker{
 		Coordinator: srv.URL, Name: "slow", Poll: 5 * time.Millisecond, ExitOnDrain: true,
-		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo, lanesOff bool) ([]store.Record, error) {
+		RunShard: func(ctx context.Context, sh campaign.Shard, memo *campaign.Memo) ([]store.Record, error) {
 			timer := time.NewTimer(150 * time.Millisecond)
 			defer timer.Stop()
 			select {
@@ -64,7 +64,7 @@ func TestFabricThroughService(t *testing.T) {
 				return nil, ctx.Err()
 			case <-timer.C:
 			}
-			return campaign.ExecuteShard(ctx, sh, memo, lanesOff)
+			return campaign.ExecuteShard(ctx, sh, memo)
 		},
 	}
 	fast := &fabric.Worker{Coordinator: srv.URL, Name: "fast", Poll: 5 * time.Millisecond, ExitOnDrain: true}

@@ -74,12 +74,6 @@ type Config struct {
 	// CampaignWorkers bounds concurrent shards per campaign; 0 means
 	// GOMAXPROCS.
 	CampaignWorkers int
-	// DisableLanes forces the scalar simulation engine for every request
-	// this instance serves (the marchd -lanes=off escape hatch). Lane mode
-	// never changes verdicts, witnesses or cache keys, so instances with
-	// different settings serve byte-identical responses; the request wire
-	// format deliberately cannot carry the knob.
-	DisableLanes bool
 	// Coordinator enables the distributed campaign fabric (DESIGN.md §13):
 	// the /v1/fabric/* endpoints lease shard ranges of submitted campaigns
 	// to peer marchd workers and merge their results into the same store
@@ -199,7 +193,7 @@ func New(cfg Config) *Server {
 			s.logger.Printf("panic contained in generation job (see the job's error for the stack)")
 		}
 	}
-	s.campaigns = newCampaignManager(cfg.dataDir(), cfg.maxCampaigns(), cfg.CampaignWorkers, cfg.DisableLanes)
+	s.campaigns = newCampaignManager(cfg.dataDir(), cfg.maxCampaigns(), cfg.CampaignWorkers)
 	s.campaigns.onTerminal = s.metrics.campaignTerminal
 
 	mux := http.NewServeMux()
@@ -366,38 +360,55 @@ func (w *statusWriter) recordEncodeError(err error) { w.encodeErr = err }
 // emitting a status line, so it can never write a second one.
 func (w *statusWriter) headerWritten() bool { return w.wroteHeader }
 
+// cacheOutcome is how an asynchronous request met the result cache.
+type cacheOutcome int
+
+const (
+	cacheHit       cacheOutcome = iota // answered from the cache
+	cacheCoalesced                     // joined the live job computing its key
+	cacheMiss                          // created a new job
+)
+
 // lookupOrSubmit deduplicates concurrent generation requests on their
 // cache key: if a live job is already computing the key it is returned
-// (created=false); otherwise fn is submitted as a new job of the given
-// admission class. The server lock is held across the submit so two
-// concurrent misses cannot both spawn work for one key.
+// (cacheCoalesced); if a job finished the key since the caller's cache
+// lookup, the stored document is returned (cacheHit); otherwise fn is
+// submitted as a new job of the given admission class (cacheMiss). The
+// server lock is held across the re-check and the submit so two
+// concurrent misses cannot both spawn work for one key, and a key whose
+// job just finished is never computed twice.
 //
 // Admission is checked here, after the dedup lookup: piggybacking on a
 // job that is already admitted costs the service nothing, so it is never
 // shed. Only genuinely new work spends an admission slot. A shed is
 // returned as a *shedError (HTTP 429 + Retry-After upstream).
-func (s *Server) lookupOrSubmit(class admitClass, key string, timeout time.Duration, fn func(context.Context) ([]byte, error)) (*job, bool, error) {
+func (s *Server) lookupOrSubmit(class admitClass, key string, timeout time.Duration, fn func(context.Context) ([]byte, error)) (*job, []byte, cacheOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id, ok := s.inflight[key]; ok {
 		if j, live := s.jobs.Get(id); live && !j.snapshot(false).Status.Terminal() {
-			return j, false, nil
+			return j, nil, cacheCoalesced, nil
 		}
 		delete(s.inflight, key)
 	}
+	// A job stores its document before it turns terminal, so a finished
+	// job's key is answerable from the cache here.
+	if body, ok := s.cache.Get(key); ok {
+		return nil, body, cacheHit, nil
+	}
 	if shed := s.admit.admit(class); shed != nil {
 		s.metrics.shed(string(class))
-		return nil, false, shed
+		return nil, nil, cacheMiss, shed
 	}
 	j, err := s.jobs.Submit(class, timeout, fn)
 	if err != nil {
 		// The engine refused after admission said yes (queue tombstones, or
 		// a drain that began in between): hand the slot straight back.
 		s.admit.finished(class, false, false)
-		return nil, false, err
+		return nil, nil, cacheMiss, err
 	}
 	s.inflight[key] = j.id
-	return j, true, nil
+	return j, nil, cacheMiss, nil
 }
 
 // clearInflight drops the dedup entry owned by the given job id.

@@ -197,6 +197,63 @@ func TestGenerateDeduplicatesInflight(t *testing.T) {
 	}
 }
 
+// TestConcurrentIdenticalMissesCoalesce pins the cache accounting: N
+// concurrent identical cold generates create one job and count one miss;
+// the other N-1 count as coalesced joins. A blocker job holds the lone
+// worker, so the generate job stays in flight until every request has
+// been answered.
+func TestConcurrentIdenticalMissesCoalesce(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	_, _, _, err := s.lookupOrSubmit(classGenerate, "blocker", 0, func(ctx context.Context) ([]byte, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return []byte("{}"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	answers := make([]*httptest.ResponseRecorder, n)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i] = do(t, s, "POST", "/v1/generate", `{"list":"list2"}`)
+		}()
+	}
+	wg.Wait()
+	unblock()
+
+	var id string
+	for i, w := range answers {
+		if w.Code != http.StatusAccepted || w.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("request %d: status %d X-Cache %q: %s", i, w.Code, w.Header().Get("X-Cache"), w.Body.String())
+		}
+		got := decode[jobEnvelope](t, w).Job.ID
+		if id == "" {
+			id = got
+		} else if got != id {
+			t.Fatalf("identical requests got distinct jobs %s / %s", id, got)
+		}
+	}
+	if j := pollJob(t, s, id); j.Status != JobDone {
+		t.Fatalf("job = %+v", j)
+	}
+	m := decode[MetricsSnapshot](t, do(t, s, "GET", "/metrics", ""))
+	if m.CacheMisses != 1 || m.JobsSubmitted != 1 || m.CacheCoalesced != n-1 || m.CacheHits != 0 {
+		t.Fatalf("cache_misses=%d jobs_submitted=%d cache_coalesced=%d cache_hits=%d, want 1/1/%d/0",
+			m.CacheMisses, m.JobsSubmitted, m.CacheCoalesced, m.CacheHits, n-1)
+	}
+}
+
 func TestGenerateBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	cases := []struct {

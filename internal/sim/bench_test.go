@@ -46,14 +46,15 @@ func benchSimulate(b *testing.B, t march.Test, faults []linked.Fault, cfg Config
 }
 
 // benchConfigs pairs the two execution engines: the default bit-parallel
-// lanes and the scalar path behind DisableLanes. Benchmarking both keeps
-// the lane speedup a number the bench log shows directly.
+// lanes and the scalar path behind the test-only scalarOnly hook.
+// Benchmarking both keeps the lane speedup a number the bench log shows
+// directly (go test -bench Simulate ./internal/sim).
 func benchConfigs() []struct {
 	name string
 	cfg  Config
 } {
 	scalar := DefaultConfig()
-	scalar.DisableLanes = true
+	scalar.scalarOnly = true
 	return []struct {
 		name string
 		cfg  Config

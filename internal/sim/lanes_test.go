@@ -14,7 +14,7 @@ import (
 // the comparison baseline for every lanes-vs-scalar test.
 func scalarConfig() Config {
 	c := DefaultConfig()
-	c.DisableLanes = true
+	c.scalarOnly = true
 	return c
 }
 
@@ -31,7 +31,7 @@ func TestLanesMatchScalar(t *testing.T) {
 	}
 	for _, cfg := range []Config{DefaultConfig(), {Size: 5, ExhaustiveOrders: true}, {Size: 4}} {
 		scalar := cfg
-		scalar.DisableLanes = true
+		scalar.scalarOnly = true
 		for _, mt := range march.Lib() {
 			laneSched, err := NewSchedule(mt, cfg)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestLaneEligibility(t *testing.T) {
 		t.Error("4-cell fault must fall back to scalar")
 	}
 
-	// The escape hatch forces scalar for everything.
+	// The test-only scalar hook forces scalar for everything.
 	off, err := NewSchedule(march.MarchSL, scalarConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestLaneEligibility(t *testing.T) {
 	defer off.putMachine(mOff)
 	for _, f := range faultlist.List2() {
 		if off.planLanes(mOff, f) {
-			t.Fatalf("DisableLanes must force scalar, accepted %s", f.ID())
+			t.Fatalf("scalarOnly must force scalar, accepted %s", f.ID())
 		}
 	}
 }
@@ -139,12 +139,12 @@ func TestOutOfRangeBindingError(t *testing.T) {
 			det, wit, err := DetectsFault(march.MarchSL, f, cfg)
 			if err == nil {
 				t.Fatalf("fault %d (lanes=%v): DetectsFault = (%v, %v, nil), want error",
-					i, !cfg.DisableLanes, det, wit)
+					i, !cfg.scalarOnly, det, wit)
 			}
 			full, _, err := FullCoverage(march.MarchSL, []linked.Fault{f}, cfg)
 			if err == nil {
 				t.Fatalf("fault %d (lanes=%v): FullCoverage = (%v, nil), want error",
-					i, !cfg.DisableLanes, full)
+					i, !cfg.scalarOnly, full)
 			}
 		}
 	}
@@ -177,7 +177,7 @@ func TestNoAggressorStateConditionInert(t *testing.T) {
 				refDet, refWit, refErr := referenceDetects(mt, f, cfg)
 				schedDet, schedWit, schedErr := DetectsFault(mt, f, cfg)
 				assertSameOutcome(t, fmt.Sprintf("%s vs inert %s (lanes=%v)",
-					mt.Name, f.ID(), !cfg.DisableLanes),
+					mt.Name, f.ID(), !cfg.scalarOnly),
 					refDet, schedDet, refWit, schedWit, refErr, schedErr)
 			}
 		}
@@ -264,7 +264,7 @@ func TestFourCellFaultUncached(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Size: 5, ExhaustiveOrders: true},
-		{Size: 6, ExhaustiveOrders: true, DisableLanes: true},
+		{Size: 6, ExhaustiveOrders: true, scalarOnly: true},
 	} {
 		for _, mt := range []march.Test{march.MATSPlus, march.MarchLF1} {
 			refDet, refWit, refErr := referenceDetects(mt, f, cfg)
@@ -377,7 +377,7 @@ func FuzzLanesVsScalar(f *testing.F) {
 			ExhaustiveOrders: pick/8%2 == 0,
 		}
 		scalar := cfg
-		scalar.DisableLanes = true
+		scalar.scalarOnly = true
 		lDet, lWit, lErr := DetectsFault(mt, fault, cfg)
 		sDet, sWit, sErr := DetectsFault(mt, fault, scalar)
 		if (lErr != nil) != (sErr != nil) {

@@ -69,46 +69,30 @@ func forEachScenario(t march.Test, f linked.Fault, cfg Config, fn func(Scenario)
 // orderCombinations resolves the ⇕ elements of a test into the concrete
 // address-order assignments the configuration requires.
 func orderCombinations(t march.Test, cfg Config) ([][]march.AddrOrder, error) {
-	var anyIdx []int
 	base := make([]march.AddrOrder, len(t.Elems))
+	nAny := 0
 	for i, e := range t.Elems {
 		base[i] = e.Order
 		if e.Order == march.Any {
-			anyIdx = append(anyIdx, i)
+			nAny++
 		}
 	}
-	if !cfg.ExhaustiveOrders || len(anyIdx) == 0 {
-		resolved := make([]march.AddrOrder, len(base))
+	if !cfg.ExhaustiveOrders {
 		for i, o := range base {
 			if o == march.Any {
-				o = march.Up
+				base[i] = march.Up
 			}
-			resolved[i] = o
 		}
-		return [][]march.AddrOrder{resolved}, nil
+		return [][]march.AddrOrder{base}, nil
 	}
 	maxAny := cfg.MaxAnyElements
 	if maxAny <= 0 {
 		maxAny = 12
 	}
-	if len(anyIdx) > maxAny {
-		return nil, fmt.Errorf("sim: test %q has %d ⇕ elements; exhaustive order expansion capped at %d", t.Name, len(anyIdx), maxAny)
+	if nAny > maxAny {
+		return nil, fmt.Errorf("sim: test %q has %d ⇕ elements; exhaustive order expansion capped at %d", t.Name, nAny, maxAny)
 	}
-	n := 1 << len(anyIdx)
-	out := make([][]march.AddrOrder, 0, n)
-	for bits := 0; bits < n; bits++ {
-		orders := make([]march.AddrOrder, len(base))
-		copy(orders, base)
-		for j, idx := range anyIdx {
-			if bits>>j&1 == 0 {
-				orders[idx] = march.Up
-			} else {
-				orders[idx] = march.Down
-			}
-		}
-		out = append(out, orders)
-	}
-	return out, nil
+	return march.OrderCombinations(base), nil
 }
 
 // cloneScenario deep-copies a scenario for retention as a witness.
