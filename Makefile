@@ -37,10 +37,11 @@ flake:
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/ .
 
-## bench-smoke: run every simulator benchmark once, so a broken benchmark
-## fails the gate; writes no file.
+## bench-smoke: run every simulator and generator benchmark once (the
+## Table-1 rows and the dynamic list, whose repair takes the scalar
+## fallback), so a broken benchmark fails the gate; writes no file.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim .
 
 ## bench-sim: regenerate BENCH_sim.json (the lanes section measured now,
 ## next to the recorded per-scenario baseline and scalar schedule).
@@ -103,7 +104,8 @@ cluster-test:
 ## specs, op streams), the store's torn-tail recovery, the fabric's
 ## segment-merge path (dup/out-of-order/torn segments must never corrupt a
 ## committed prefix), the diagnosis syndrome pipeline (hostile/partial/
-## contradictory syndromes must reject or localize, never panic), and the
+## contradictory syndromes must reject or localize, never panic), the
+## prefix-extension query against the whole extended test, and the
 ## word background set (size, round-trip, bit-pair separation, coverage
 ## monotonicity), 30s per target, seeded from */testdata/fuzz/.
 fuzz:
@@ -112,6 +114,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime 30s ./internal/march/
 	$(GO) test -fuzz='^FuzzOpenTornTail$$' -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz='^FuzzLanesVsScalar$$' -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz='^FuzzExtendVsFull$$' -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz='^FuzzSegmentMerge$$' -fuzztime 30s ./internal/fabric/
 	$(GO) test -fuzz='^FuzzRetryAfterParse$$' -fuzztime 30s ./cmd/marchctl/
 	$(GO) test -fuzz='^FuzzDiagnoseSyndrome$$' -fuzztime 30s ./internal/diagnose/

@@ -175,8 +175,9 @@ type Stats struct {
 	LengthBeforeMinimize int
 	// Simulations counts full-coverage candidate evaluations.
 	Simulations int
-	// Duration is the wall-clock generation time (the CPU-time column of
-	// Table 1).
+	// Duration is the wall-clock generation time. Table 1's column is CPU
+	// time, which differs because simulation fans out across goroutines;
+	// cmd/table1 measures it separately.
 	Duration time.Duration
 }
 

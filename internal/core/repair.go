@@ -126,13 +126,12 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			return cand, nil
 		}
 
+		// The templates applicable at the candidate's exit value, in
+		// template order, as one batch of one-element extensions of cand.
 		v := testExit(cand)
-		best := -1
-		bestGain := 0
+		var applicable []int
+		var elems []march.Element
 		for ti, tpl := range templates {
-			if err := ctx.Err(); err != nil {
-				return cand, err
-			}
 			if !opts.Orders.Allows(tpl.order) {
 				continue
 			}
@@ -142,29 +141,46 @@ func repair(ctx context.Context, cand march.Test, faults []linked.Fault, cfg sim
 			if tpl.entry.IsBinary() && !v.IsBinary() {
 				continue // cannot prove consistency on unknown entry value
 			}
+			elem := march.NewElement(tpl.order, tpl.ops...)
 			trial := cand.Clone()
-			trial.Elems = append(trial.Elems, march.NewElement(tpl.order, tpl.ops...))
+			trial.Elems = append(trial.Elems, elem)
 			if trial.CheckConsistency() != nil {
 				continue
 			}
-			// One compiled schedule per trial candidate, shared across the
-			// whole missing-fault scan.
-			sched, err := sim.NewSchedule(trial, cfg)
+			applicable = append(applicable, ti)
+			elems = append(elems, elem)
+		}
+
+		// One simulation of cand per missing fault answers every template
+		// (sim.Extensions); each (template, fault) pair still counts as one
+		// candidate evaluation.
+		prefix, err := sim.NewSchedule(cand, cfg)
+		if err != nil {
+			return cand, err
+		}
+		batch := prefix.Extend(elems)
+		gains := make([]int, len(elems))
+		det := make([]bool, len(elems))
+		for _, f := range missing {
+			if err := ctx.Err(); err != nil {
+				return cand, err
+			}
+			err := batch.Detects(f, det)
+			st.Simulations += len(elems)
 			if err != nil {
 				return cand, err
 			}
-			gain := 0
-			for _, f := range missing {
-				det, _, err := sched.DetectsFault(f)
-				st.Simulations++
-				if err != nil {
-					return cand, err
-				}
-				if det {
-					gain++
+			for i, d := range det {
+				if d {
+					gains[i]++
 				}
 			}
-			if gain > bestGain || (gain == bestGain && gain > 0 && len(tpl.ops) < len(templates[best].ops)) {
+		}
+		best := -1
+		bestGain := 0
+		for i, ti := range applicable {
+			gain := gains[i]
+			if gain > bestGain || (gain == bestGain && gain > 0 && len(templates[ti].ops) < len(templates[best].ops)) {
 				best = ti
 				bestGain = gain
 			}

@@ -29,6 +29,12 @@ func walk(ctx context.Context, cand march.Test, faults []linked.Fault, opts Opti
 		return cand
 	}
 	cfg := opts.searchConfig()
+	// The candidate is compiled once per walk step; every proposal of the
+	// step is asked as a one-element extension of it.
+	prefix, err := sim.NewSchedule(cand, cfg)
+	if err != nil {
+		return cand // the candidate cannot be simulated; repair phase takes over
+	}
 
 	pending := singles
 	for len(pending) > 0 && ctx.Err() == nil {
@@ -39,7 +45,7 @@ func walk(ctx context.Context, cand march.Test, faults []linked.Fault, opts Opti
 			if len(so) >= opts.maxSOLen() {
 				break
 			}
-			snippet, ok := coveringSnippet(cand, so, v, f, cfg, opts, st)
+			snippet, ok := coveringSnippet(prefix, so, v, f, opts, st)
 			if !ok {
 				continue
 			}
@@ -55,17 +61,17 @@ func walk(ctx context.Context, cand march.Test, faults []linked.Fault, opts Opti
 		cand.Elems = append(cand.Elems, march.NewElement(opts.Orders.walkOrder(), so...))
 
 		// Delete the covered faults (Figure 5, step 1.c.ii). The schedule is
-		// compiled once for the grown candidate and shared across the whole
-		// pending list.
+		// compiled once for the grown candidate, shared across the whole
+		// pending list and kept as the next step's prefix.
 		sched, serr := sim.NewSchedule(cand, cfg)
 		if serr != nil {
 			break // the candidate cannot be simulated; repair phase takes over
 		}
 		next := pending[:0]
 		for _, f := range pending {
-			det, _, err := sched.DetectsFault(f)
+			miss, err := sched.MissesFault(f)
 			st.Simulations++
-			if err != nil || !det {
+			if err != nil || miss {
 				next = append(next, f)
 			}
 		}
@@ -73,6 +79,7 @@ func walk(ctx context.Context, cand march.Test, faults []linked.Fault, opts Opti
 			break // no progress; repair phase takes over
 		}
 		pending = next
+		prefix = sched
 	}
 	return cand
 }
@@ -84,18 +91,20 @@ func walk(ctx context.Context, cand march.Test, faults []linked.Fault, opts Opti
 // are tried, each with one or two observing reads (the second read catches
 // deceptive behaviors). Every proposal is verified by the fault simulator
 // before being accepted.
-func coveringSnippet(cand march.Test, so []fp.Op, v fp.Value, f linked.Fault, cfg sim.Config, opts Options, st *Stats) ([]fp.Op, bool) {
+func coveringSnippet(prefix *sim.Schedule, so []fp.Op, v fp.Value, f linked.Fault, opts Options, st *Stats) ([]fp.Op, bool) {
+	det := make([]bool, 1)
 	for _, tp := range faultTPs(f) {
 		for reads := 1; reads <= 2; reads++ {
 			snippet := buildSnippet(v, tp, reads)
-			trial := cand.Clone()
-			trial.Elems = append(trial.Elems, march.NewElement(opts.Orders.walkOrder(), append(append([]fp.Op(nil), so...), snippet...)...))
+			elem := march.NewElement(opts.Orders.walkOrder(), append(append([]fp.Op(nil), so...), snippet...)...)
+			trial := prefix.Test().Clone()
+			trial.Elems = append(trial.Elems, elem)
 			if trial.CheckConsistency() != nil {
 				continue
 			}
-			det, _, err := sim.DetectsFault(trial, f, cfg)
+			err := prefix.Extend([]march.Element{elem}).Detects(f, det)
 			st.Simulations++
-			if err == nil && det {
+			if err == nil && det[0] {
 				return snippet, true
 			}
 		}

@@ -426,29 +426,21 @@ func (p *lanePlan) laneInitState(vs *[maxLaneCells]uint64) {
 
 const laneSnapWords = maxLaneCells + 1 // k cell words + the detect mask
 
-// runLanesAll walks the order-choice trie once for all lanes and fills the
-// machine's per-leaf miss masks: bit l of laneLeafMiss[leaf] is set when
-// lane l fails to detect the fault under order combination leaf. Subtrees
-// whose prefix already detects in every lane are pruned whole, leaving their
-// leaves at the all-detected zero mask.
-func (s *Schedule) runLanesAll(m *machine) []uint64 {
+// walkLanes walks the order-choice trie once for all lanes of the planned
+// fault and calls leaf with the lane state at the end of every order
+// combination some lane reaches undetected; the walk stops as soon as leaf
+// returns false. Subtrees whose prefix already detects in every lane are
+// pruned whole. A test with no elements performs no reads: its single
+// (empty) combination is reached from the initial state, undetected.
+func (s *Schedule) walkLanes(m *machine, leaf func(idx int, vs *[maxLaneCells]uint64, detect uint64) bool) {
 	p := &m.plan
-	if cap(m.laneLeafMiss) < len(s.orderSets) {
-		m.laneLeafMiss = make([]uint64, len(s.orderSets))
-	}
-	leafMiss := m.laneLeafMiss[:len(s.orderSets)]
-	for i := range leafMiss {
-		leafMiss[i] = 0
-	}
 	var vs [maxLaneCells]uint64
 	p.laneInitState(&vs)
 	detect := uint64(0)
 
 	if len(s.roots) == 0 {
-		// A test with no elements performs no reads: every lane misses the
-		// single (empty) order combination.
-		leafMiss[0] = p.full
-		return leafMiss
+		leaf(0, &vs, detect)
+		return
 	}
 
 	depth := len(s.test.Elems) + 1
@@ -467,28 +459,30 @@ func (s *Schedule) runLanesAll(m *machine) []uint64 {
 		detect = snap[o+maxLaneCells]
 	}
 
-	var walk func(idx, d int)
-	walk = func(idx, d int) {
+	// walk reports whether the walk should go on.
+	var walk func(idx, d int) bool
+	walk = func(idx, d int) bool {
 		seg := &s.segs[idx]
 		detect = p.runSteps(seg.steps, &vs, detect)
 		if detect == p.full {
-			return // every lane detected under this prefix
+			return true // every lane detected under this prefix
 		}
 		if seg.leaf >= 0 {
-			leafMiss[seg.leaf] = ^detect & p.full
-			return
+			return leaf(seg.leaf, &vs, detect)
 		}
 		if len(seg.children) == 1 {
-			walk(seg.children[0], d+1)
-			return
+			return walk(seg.children[0], d+1)
 		}
 		save(d)
 		for ci, ch := range seg.children {
 			if ci > 0 {
 				restore(d)
 			}
-			walk(ch, d+1)
+			if !walk(ch, d+1) {
+				return false
+			}
 		}
+		return true
 	}
 
 	if len(s.roots) > 1 {
@@ -498,71 +492,41 @@ func (s *Schedule) runLanesAll(m *machine) []uint64 {
 		if ri > 0 {
 			restore(0)
 		}
-		walk(r, 1)
+		if !walk(r, 1) {
+			return
+		}
 	}
+}
+
+// runLanesAll fills the machine's per-leaf miss masks from one trie walk:
+// bit l of laneLeafMiss[leaf] is set when lane l fails to detect the fault
+// under order combination leaf. Pruned leaves keep the all-detected zero
+// mask.
+func (s *Schedule) runLanesAll(m *machine) []uint64 {
+	if cap(m.laneLeafMiss) < len(s.orderSets) {
+		m.laneLeafMiss = make([]uint64, len(s.orderSets))
+	}
+	leafMiss := m.laneLeafMiss[:len(s.orderSets)]
+	for i := range leafMiss {
+		leafMiss[i] = 0
+	}
+	full := m.plan.full
+	s.walkLanes(m, func(idx int, _ *[maxLaneCells]uint64, detect uint64) bool {
+		leafMiss[idx] = ^detect & full
+		return true
+	})
 	return leafMiss
 }
 
 // runLanesAny is the missesFault variant of the walk: it stops at the first
 // leaf any lane misses, without filling the per-leaf masks.
 func (s *Schedule) runLanesAny(m *machine) bool {
-	p := &m.plan
-	var vs [maxLaneCells]uint64
-	p.laneInitState(&vs)
-	detect := uint64(0)
-
-	if len(s.roots) == 0 {
-		return true
-	}
-
-	depth := len(s.test.Elems) + 1
-	if cap(m.laneSnap) < depth*laneSnapWords {
-		m.laneSnap = make([]uint64, depth*laneSnapWords)
-	}
-	snap := m.laneSnap[:depth*laneSnapWords]
-
-	var walk func(idx, d int) bool
-	walk = func(idx, d int) bool {
-		seg := &s.segs[idx]
-		detect = p.runSteps(seg.steps, &vs, detect)
-		if detect == p.full {
-			return false
-		}
-		if seg.leaf >= 0 {
-			return true // some lane reached the end of the test undetected
-		}
-		if len(seg.children) == 1 {
-			return walk(seg.children[0], d+1)
-		}
-		o := d * laneSnapWords
-		copy(snap[o:o+maxLaneCells], vs[:])
-		snap[o+maxLaneCells] = detect
-		for ci, ch := range seg.children {
-			if ci > 0 {
-				copy(vs[:], snap[o:o+maxLaneCells])
-				detect = snap[o+maxLaneCells]
-			}
-			if walk(ch, d+1) {
-				return true
-			}
-		}
+	miss := false
+	s.walkLanes(m, func(int, *[maxLaneCells]uint64, uint64) bool {
+		miss = true
 		return false
-	}
-
-	if len(s.roots) > 1 {
-		copy(snap[:maxLaneCells], vs[:])
-		snap[maxLaneCells] = detect
-	}
-	for ri, r := range s.roots {
-		if ri > 0 {
-			copy(vs[:], snap[:maxLaneCells])
-			detect = snap[maxLaneCells]
-		}
-		if walk(r, 1) {
-			return true
-		}
-	}
-	return false
+	})
+	return miss
 }
 
 // laneClasses resolves every placement class of the planned fault with one

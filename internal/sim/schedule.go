@@ -98,12 +98,8 @@ func NewSchedule(t march.Test, cfg Config) (*Schedule, error) {
 	s := &Schedule{test: t, cfg: cfg, size: size, orderSets: orderSets}
 	s.compileTree()
 	s.laneWrites = true
-	for i := range s.segs {
-		for j := range s.segs[i].steps {
-			if op := s.segs[i].steps[j].op; op.Kind == fp.OpWrite && !op.Data.IsBinary() {
-				s.laneWrites = false
-			}
-		}
+	for _, e := range t.Elems {
+		s.laneWrites = s.laneWrites && binaryWrites(e)
 	}
 	s.pool.New = func() any { return newMachine(size) }
 	return s, nil
@@ -790,6 +786,15 @@ func (s *Schedule) DetectsFault(f linked.Fault) (bool, *Scenario, error) {
 	m := s.getMachine()
 	defer s.putMachine(m)
 	return s.detects(m, f)
+}
+
+// MissesFault reports whether the schedule's test fails to detect the fault
+// in at least one scenario: the negated verdict of DetectsFault, without
+// building a witness.
+func (s *Schedule) MissesFault(f linked.Fault) (bool, error) {
+	m := s.getMachine()
+	defer s.putMachine(m)
+	return s.missesFault(m, f)
 }
 
 // missesFault reports whether the test fails to detect the fault in at
