@@ -124,7 +124,7 @@ fuzz:
 ## run must finish with zero admission sheds, then a 5x-overload run
 ## against a deliberately small instance must shed cold generates with
 ## 429 + Retry-After while the cache-hit class stays >=99% green with its
-## p99 within 3x of nominal. Refreshes BENCH_serve.json as a side effect.
+## p99 within 3x of nominal. Writes no tracked file (bench-serve does).
 load-test:
 	./scripts/load.sh
 

@@ -29,8 +29,8 @@
 //     generated test, with dynamic-fault arming and witness tracing.
 //     Production paths run on compiled simulation schedules (op-stream
 //     tries with a precomputed good-machine trace, placement-equivalence
-//     classes, pooled machines) pinned bit-identical to a retained
-//     per-scenario reference interpreter; see DESIGN.md §7.
+//     classes, pooled machines) pinned bit-identical to the independent
+//     reference oracle (internal/oracle); see DESIGN.md §7.
 //   - internal/core — the generation algorithm (Section 5, Figure 5),
 //     including the Section 7 order-constrained profiles.
 //   - internal/bist, internal/defect, internal/topo, internal/word,

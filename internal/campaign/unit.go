@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"marchgen/internal/bist"
@@ -11,7 +12,6 @@ import (
 	"marchgen/internal/optimize"
 	"marchgen/internal/oracle"
 	"marchgen/internal/sim"
-	"marchgen/internal/word"
 )
 
 // defaultBISTCells is the array size BIST costs are estimated for when the
@@ -263,35 +263,27 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitR
 	}
 
 	if u.Width > 1 {
-		wfaults := word.TestableIntraWordFaults(u.Width)
-		bgs, err := word.Backgrounds(u.Width)
+		w, err := core.EvaluateWord(ctx, gen.Test, u.Width, u.Transparent)
+		if w != nil {
+			res.Word = &WordJSON{
+				Width: w.Width, Backgrounds: w.Backgrounds,
+				Faults: w.Faults, Detected: w.Detected,
+				Transparent:         w.Transparent,
+				TransparentTest:     w.TransparentTest,
+				TransparentDetected: w.TransparentDetected,
+			}
+		}
 		if err != nil {
+			if ctx.Err() != nil {
+				return res, ctx.Err()
+			}
+			// Records carry the word package's own message, without the
+			// prefix core adds to a failed transparent transform.
+			if cause := errors.Unwrap(err); cause != nil {
+				err = cause
+			}
 			res.Error = err.Error()
 			return res, nil
-		}
-		detected, err := word.Coverage(gen.Test, wfaults, bgs, word.Config{Words: 2, Width: u.Width})
-		if err != nil {
-			res.Error = err.Error()
-			return res, nil
-		}
-		res.Word = &WordJSON{
-			Width: u.Width, Backgrounds: len(bgs),
-			Faults: len(wfaults), Detected: detected,
-		}
-		if u.Transparent {
-			tt, err := word.Transparent(gen.Test)
-			if err != nil {
-				res.Error = err.Error()
-				return res, nil
-			}
-			td, err := word.TransparentCoverage(tt, wfaults, bgs, word.Config{Words: 2, Width: u.Width})
-			if err != nil {
-				res.Error = err.Error()
-				return res, nil
-			}
-			res.Word.Transparent = true
-			res.Word.TransparentTest = tt.String()
-			res.Word.TransparentDetected = td
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"marchgen/internal/fp"
 	"marchgen/internal/linked"
 	"marchgen/internal/march"
 	"marchgen/internal/sim"
@@ -101,22 +100,9 @@ func (c Candidate) String() string {
 }
 
 // signature computes the deterministic syndrome of a fault instance under a
-// march test (canonical all-zero initial state, ⇕ resolved upward — the same
-// convention Build uses, so dictionary and signature agree).
+// march test, on the same canonical scenario Build simulates.
 func signature(t march.Test, f linked.Fault, placement []int, cfg sim.Config) (Syndrome, error) {
-	orders := make([]march.AddrOrder, len(t.Elems))
-	for i, e := range t.Elems {
-		orders[i] = e.Order
-		if orders[i] == march.Any {
-			orders[i] = march.Up
-		}
-	}
-	s := sim.Scenario{
-		Placement: append([]int(nil), placement...),
-		Init:      make([]fp.Value, f.Cells),
-		Orders:    orders,
-	}
-	return collectSyndrome(t, f, s, cfg)
+	return collectSyndrome(t, f, canonicalScenario(t, f, placement), cfg)
 }
 
 // Localize intersects the observations: a candidate instance survives iff
@@ -132,9 +118,10 @@ func Localize(faults []linked.Fault, obs []Observation, cfg sim.Config) ([]Candi
 		if f.Cells >= cfg.Size {
 			return nil, fmt.Errorf("diagnose: %d-cell fault needs an array larger than %d", f.Cells, cfg.Size)
 		}
-		for _, pl := range enumeratePlacements(f.Cells, cfg.Size) {
-			cands = append(cands, Candidate{Fault: f, Placement: pl})
-		}
+		sim.ForEachPlacement(f.Cells, cfg.Size, func(pl []int) bool {
+			cands = append(cands, Candidate{Fault: f, Placement: append([]int(nil), pl...)})
+			return true
+		})
 	}
 	for _, ob := range obs {
 		if err := ob.Test.Validate(); err != nil {

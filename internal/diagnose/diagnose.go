@@ -89,6 +89,30 @@ func Build(t march.Test, faults []linked.Fault, cfg sim.Config) (*Dictionary, er
 		cfg.Size = 4
 	}
 	d := &Dictionary{Test: t, Size: cfg.Size, byKey: map[string][]int{}}
+	for _, f := range faults {
+		var err error
+		sim.ForEachPlacement(f.Cells, cfg.Size, func(pl []int) bool {
+			s := canonicalScenario(t, f, pl)
+			var syn Syndrome
+			if syn, err = collectSyndrome(t, f, s, cfg); err != nil {
+				return false
+			}
+			d.byKey[syn.Key()] = append(d.byKey[syn.Key()], len(d.Entries))
+			d.Entries = append(d.Entries, Entry{Fault: f, Scenario: s, Syndrome: syn})
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// canonicalScenario is the deterministic scenario diagnosis simulates for a
+// fault instance: the given placement (copied), all-zero initial values and
+// every ⇕ element resolved upward. Build and signature share it, so
+// dictionary entries and signatures agree.
+func canonicalScenario(t march.Test, f linked.Fault, placement []int) sim.Scenario {
 	orders := make([]march.AddrOrder, len(t.Elems))
 	for i, e := range t.Elems {
 		orders[i] = e.Order
@@ -96,53 +120,11 @@ func Build(t march.Test, faults []linked.Fault, cfg sim.Config) (*Dictionary, er
 			orders[i] = march.Up
 		}
 	}
-	for _, f := range faults {
-		placements := enumeratePlacements(f.Cells, cfg.Size)
-		for _, pl := range placements {
-			init := make([]fp.Value, f.Cells)
-			s := sim.Scenario{Placement: pl, Init: init, Orders: orders}
-			syn, err := collectSyndrome(t, f, s, cfg)
-			if err != nil {
-				return nil, err
-			}
-			idx := len(d.Entries)
-			d.Entries = append(d.Entries, Entry{Fault: f, Scenario: *cloneScenario(s), Syndrome: syn})
-			d.byKey[syn.Key()] = append(d.byKey[syn.Key()], idx)
-		}
+	return sim.Scenario{
+		Placement: append([]int(nil), placement...),
+		Init:      make([]fp.Value, f.Cells),
+		Orders:    orders,
 	}
-	return d, nil
-}
-
-func cloneScenario(s sim.Scenario) *sim.Scenario {
-	return &sim.Scenario{
-		Placement: append([]int(nil), s.Placement...),
-		Init:      append([]fp.Value(nil), s.Init...),
-		Orders:    append([]march.AddrOrder(nil), s.Orders...),
-	}
-}
-
-func enumeratePlacements(k, n int) [][]int {
-	var out [][]int
-	cur := make([]int, k)
-	used := make([]bool, n)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == k {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for a := 0; a < n; a++ {
-			if used[a] {
-				continue
-			}
-			used[a] = true
-			cur[d] = a
-			rec(d + 1)
-			used[a] = false
-		}
-	}
-	rec(0)
-	return out
 }
 
 // Lookup returns the fault instances whose signature matches the syndrome

@@ -14,9 +14,9 @@ import (
 // The operation stream a march test induces on a memory depends only on
 // (test, address orders, memory size) — never on the fault being simulated.
 // The exhaustive simulator, however, fans the same test out over hundreds of
-// faults × placements × initial values × order combinations, and the naive
-// path re-derives the order combinations, the address sequences and the
-// fault-free machine behavior for every single scenario.
+// faults × placements × initial values × order combinations, and simulating
+// each scenario from scratch would re-derive the order combinations, the
+// address sequences and the fault-free machine behavior every time.
 //
 // A Schedule compiles all of that once per (test, config):
 //
@@ -186,7 +186,7 @@ func compileElemSteps(e march.Element, order march.AddrOrder, size, ei int, writ
 }
 
 // compileStream flattens the test into the operation stream induced by one
-// concrete order assignment (used by TraceScenario, which needs one linear
+// concrete order assignment (used by TraceScenario, which steps one linear
 // stream rather than the trie).
 func compileStream(t march.Test, orders []march.AddrOrder, size int) stream {
 	n := 0
@@ -227,36 +227,14 @@ func (s *Schedule) ScenarioCount(f linked.Fault) (int, error) {
 func (s *Schedule) getMachine() *machine  { return s.pool.Get().(*machine) }
 func (s *Schedule) putMachine(m *machine) { s.pool.Put(m) }
 
-// forEachPlacement enumerates the placements of k fault cells in exactly
-// the order of the uncompiled reference path; enumeration stops early when
-// fn returns false. The placement slice is reused across invocations.
+// forEachPlacement enumerates the placements of k fault cells onto the
+// schedule's memory in reference order (ForEachPlacement), failing when no
+// cell would be left over for a bystander.
 func (s *Schedule) forEachPlacement(k int, fn func(placement []int) bool) error {
 	if k >= s.size {
 		return fmt.Errorf("sim: memory of %d cells cannot place a %d-cell fault with a bystander", s.size, k)
 	}
-	placement := make([]int, k)
-	used := make([]bool, s.size)
-
-	var place func(depth int) bool
-	place = func(depth int) bool {
-		if depth == k {
-			return fn(placement)
-		}
-		for a := 0; a < s.size; a++ {
-			if used[a] {
-				continue
-			}
-			used[a] = true
-			placement[depth] = a
-			ok := place(depth + 1)
-			used[a] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	place(0)
+	ForEachPlacement(k, s.size, fn)
 	return nil
 }
 
@@ -431,7 +409,7 @@ func (m *machine) bindFault(f linked.Fault, placement []int) (hasState, hasDynam
 		}
 		if c.aInit != fp.VX && c.aggAddr < 0 {
 			// An aggressor-state condition with no bound aggressor can never
-			// hold (the reference matchers compare it against VX); the
+			// hold (fp.FP's matchers compare it against VX); the
 			// binding is inert. Only hand-built faults reach this — Validate
 			// rejects them — but the simulator must not index address -1.
 			// victimAddr -1 keeps it out of the trigger loop, the cleared
@@ -446,9 +424,9 @@ func (m *machine) bindFault(f linked.Fault, placement []int) (hasState, hasDynam
 	return hasState, hasDynamic
 }
 
-// settleCtx is settleStateFaults over the resolved contexts: apply
-// state-triggered primitives until a fixpoint, bounded to avoid oscillation
-// between mutually linked state conditions.
+// settleCtx applies the state-triggered primitives (SF, CFst) of the
+// resolved contexts until a fixpoint, bounded to avoid oscillation between
+// mutually linked state conditions.
 func (m *machine) settleCtx() {
 	for iter := 0; iter <= len(m.ctxs); iter++ {
 		progress := false
@@ -478,8 +456,9 @@ func (m *machine) settleCtx() {
 	}
 }
 
-// waitCtx is applyWait over the resolved contexts: time passes for the whole
-// array, sensitizing data retention primitives whose state conditions hold.
+// waitCtx models the wait operation 't' over the resolved contexts: time
+// passes for the whole array, sensitizing data retention primitives whose
+// state conditions hold.
 func (m *machine) waitCtx(hasState bool) {
 	for i := range m.ctxs {
 		c := &m.ctxs[i]
@@ -501,13 +480,16 @@ func (m *machine) waitCtx(hasState bool) {
 }
 
 // runSteps simulates the fault over one compiled step segment from the
-// machine's current state and reports whether any read detects it. Only the
-// faulty array is simulated; reads compare against the segment's cached good
-// trace. The semantics are exactly those of the reference machine.run/step
-// pair (schedule_test.go pins the equivalence), specialized for speed:
-// bindings are pre-resolved against the placement (bindFault), bystander
-// steps reduce to disarming, and the settle/arming bookkeeping is skipped
-// for faults that cannot need it.
+// machine's current state and reports whether any read detects it, leaving
+// the detecting read's faulty value in m.detRet. Only the faulty array is
+// simulated; reads compare against the segment's cached good trace. Each
+// step runs in four stages: operation triggers against the pre-operation
+// state, the operation itself, the fault effects in binding order, and the
+// settling of state-triggered primitives. Bindings are pre-resolved against
+// the placement (bindFault), bystander steps reduce to disarming, and the
+// settle/arming bookkeeping is skipped for faults that cannot need it. The
+// independent oracle (internal/oracle) pins the semantics: reference_test.go
+// compares verdicts and witnesses on every library test and shipped list.
 func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic bool) bool {
 	// The loop runs a handful of instructions per step; everything it needs
 	// is hoisted into locals so the compiler keeps the slice headers in
@@ -549,9 +531,12 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 		}
 
 		// 1. Evaluate operation triggers against the pre-operation faulty
-		// state (the specialized evalTriggers). State-triggered and inert
-		// bindings fall out naturally: their opKind is OpNone (never equal
-		// to a read or write) and their victimAddr is -1 respectively.
+		// state. Static primitives match on the single operation; dynamic
+		// ones fire when the operation completes a sequence armed on the
+		// previous step, and (re-)arm when it matches their first
+		// operation. State-triggered and inert bindings fall out
+		// naturally: their opKind is OpNone (never equal to a read or
+		// write) and their victimAddr is -1 respectively.
 		anyMatched := false
 		for i := range ctxs {
 			c := &ctxs[i]
@@ -633,6 +618,7 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 
 		if isRead && retFaulty != retGood {
 			writeback()
+			m.detRet = retFaulty
 			return true
 		}
 	}
@@ -650,21 +636,8 @@ func (m *machine) runSteps(init []fp.Value, steps []opStep, hasState, hasDynamic
 // order differs from combination order, so the walk cannot just stop at its
 // first miss). With needWitness unset the walk aborts on any miss.
 func (s *Schedule) runTree(m *machine, f linked.Fault, placement []int, init []fp.Value, needWitness bool) (bool, int) {
-	m.ensureBindings(len(f.FPs))
-	hasState, hasDynamic := m.bindFault(f, placement)
+	hasState, hasDynamic := m.load(f, placement, init)
 	nb := len(m.ctxs)
-	for i := range m.faulty {
-		m.faulty[i] = fp.V0
-		m.cellAt[i] = -1
-	}
-	for c, addr := range placement {
-		m.faulty[addr] = init[c]
-		m.cellAt[addr] = c
-	}
-	m.disarm()
-	if hasState {
-		m.settleCtx()
-	}
 
 	if len(s.roots) == 0 {
 		// A test with no elements performs no reads: every combination (there
@@ -768,7 +741,8 @@ func (s *Schedule) detects(m *machine, f linked.Fault) (bool, *Scenario, error) 
 			for c := 0; c < k; c++ {
 				init[c] = fp.ValueOf(uint8(r.initBits>>c) & 1)
 			}
-			witness = cloneScenario(Scenario{Placement: placement, Init: init, Orders: s.orderSets[r.leaf]})
+			w := Scenario{Placement: placement, Init: init, Orders: s.orderSets[r.leaf]}.Clone()
+			witness = &w
 			return false
 		}
 		return true

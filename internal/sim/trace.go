@@ -44,6 +44,10 @@ type Trace struct {
 // TraceScenario replays one scenario of a fault under a march test and
 // records every operation: the tool behind "why does this test miss this
 // fault". The whole run is recorded even after the first detection.
+//
+// The replay runs the compiled kernel one step at a time over the
+// scenario's operation stream; the fault-free values come from the
+// stream's good trace and its writes.
 func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -52,41 +56,52 @@ func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace
 		return nil, err
 	}
 	size := cfg.size()
-	if len(s.Placement) != f.Cells {
-		return nil, fmt.Errorf("sim: scenario places %d cells, fault has %d", len(s.Placement), f.Cells)
-	}
-	if len(s.Orders) != len(t.Elems) {
-		return nil, fmt.Errorf("sim: scenario resolves %d orders, test has %d elements", len(s.Orders), len(t.Elems))
+	if err := s.check(f, len(t.Elems), size); err != nil {
+		return nil, err
 	}
 
 	m := newMachine(size)
-	m.reset(f, s)
-	m.settleStateFaults(f, s.Placement)
-
-	tr := &Trace{Test: t, Fault: f, Scenario: *cloneScenario(s)}
+	hasState, hasDynamic := m.load(f, s.Placement, s.Init)
+	// good holds the fault-free value of each fault cell.
+	good := append([]fp.Value(nil), s.Init...)
 	snapshot := func() ([]fp.Value, []fp.Value) {
-		g := make([]fp.Value, f.Cells)
 		fl := make([]fp.Value, f.Cells)
 		for i, addr := range s.Placement {
-			g[i] = m.good[addr]
 			fl[i] = m.faulty[addr]
 		}
-		return g, fl
+		return append([]fp.Value(nil), good...), fl
 	}
 
-	// The compiled stream provides the (element, op, addr) sequence; the
-	// trace still runs the full two-machine reference step because it
-	// records the good machine's cell values at every step.
+	tr := &Trace{Test: t, Fault: f, Scenario: s.Clone()}
 	stream := compileStream(t, s.Orders, size)
 	for i := range stream.steps {
 		cs := &stream.steps[i]
+		cell := m.cellAt[cs.addr]
 		gb, fb := snapshot()
 		step := TraceStep{
 			Element: cs.elem, OpIndex: cs.opIdx, Addr: cs.addr, Op: cs.op,
 			GoodBefore: gb, FaultyBefore: fb,
+			GoodRet: fp.VX, FaultyRet: fp.VX,
 		}
-		detected, retGood, retFaulty := m.step(f, s.Placement, cs.addr, cs.op)
-		step.GoodRet, step.FaultyRet = retGood, retFaulty
+		detected := m.runSteps(s.Init, stream.steps[i:i+1], hasState, hasDynamic)
+		switch cs.op.Kind {
+		case fp.OpRead:
+			step.GoodRet = cs.good
+			if !cs.goodKnown {
+				step.GoodRet = fp.V0
+				if cell >= 0 {
+					step.GoodRet = s.Init[cell]
+				}
+			}
+			step.FaultyRet = step.GoodRet
+			if detected {
+				step.FaultyRet = m.detRet
+			}
+		case fp.OpWrite:
+			if cell >= 0 {
+				good[cell] = cs.op.Data
+			}
+		}
 		step.Detected = detected
 		ga, fa := snapshot()
 		step.GoodAfter, step.FaultyAfter = ga, fa
@@ -106,6 +121,31 @@ func TraceScenario(t march.Test, f linked.Fault, s Scenario, cfg Config) (*Trace
 		}
 	}
 	return tr, nil
+}
+
+// check rejects a scenario that does not fit the fault, the test or a
+// memory of size cells.
+func (s Scenario) check(f linked.Fault, elems, size int) error {
+	if len(s.Placement) != f.Cells {
+		return fmt.Errorf("sim: scenario places %d cells, fault has %d", len(s.Placement), f.Cells)
+	}
+	if len(s.Init) != f.Cells {
+		return fmt.Errorf("sim: scenario initializes %d cells, fault has %d", len(s.Init), f.Cells)
+	}
+	if len(s.Orders) != elems {
+		return fmt.Errorf("sim: scenario resolves %d orders, test has %d elements", len(s.Orders), elems)
+	}
+	used := make([]bool, size)
+	for c, addr := range s.Placement {
+		if addr < 0 || addr >= size {
+			return fmt.Errorf("sim: scenario places cell %d at address %d, outside a memory of %d cells", c, addr, size)
+		}
+		if used[addr] {
+			return fmt.Errorf("sim: scenario places two cells at address %d", addr)
+		}
+		used[addr] = true
+	}
+	return nil
 }
 
 // Render writes the trace as an aligned table. Only steps touching the

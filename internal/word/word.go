@@ -200,12 +200,13 @@ func newWMemory(words, width int) *wmemory {
 	return m
 }
 
-func (m *wmemory) reset(init fp.Value) {
+// load fills every word of both memories with the content pattern and lets
+// state faults settle on it.
+func (m *wmemory) load(f Fault, content Background) {
 	for w := range m.good {
-		for i := range m.good[w] {
-			m.good[w][i] = init
-			m.faulty[w][i] = init
-		}
+		copy(m.good[w], content)
+		copy(m.faulty[w], content)
+		m.settle(f, w)
 	}
 }
 
@@ -270,17 +271,15 @@ func (m *wmemory) settle(f Fault, w int) {
 	}
 }
 
-// runBackground applies the bit-oriented march under one background and
-// reports whether any read detects the fault.
-func runBackground(t march.Test, f Fault, bg Background, cfg Config, init fp.Value) (bool, error) {
+// runMarch applies the bit-oriented march under background bg to a memory
+// whose every word starts at the content pattern, and reports whether any
+// read detects the fault.
+func runMarch(t march.Test, f Fault, bg, content Background, cfg Config) (bool, error) {
 	if err := t.Validate(); err != nil {
 		return false, err
 	}
 	m := newWMemory(cfg.words(), cfg.width())
-	m.reset(init)
-	for w := range m.faulty {
-		m.settle(f, w)
-	}
+	m.load(f, content)
 	for _, e := range t.Elems {
 		for _, w := range e.Order.Addresses(cfg.words()) {
 			for _, op := range e.Ops {
@@ -298,28 +297,41 @@ func runBackground(t march.Test, f Fault, bg Background, cfg Config, init fp.Val
 	return false, nil
 }
 
+// checkInputs validates the fault and the background set against the memory
+// width: the common precondition of Detects and DetectsTransparent.
+func checkInputs(f Fault, bgs []Background, cfg Config) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if f.AggBit >= cfg.width() || f.VicBit >= cfg.width() {
+		return fmt.Errorf("word: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, cfg.width())
+	}
+	for _, bg := range bgs {
+		if err := bg.Validate(); err != nil {
+			return err
+		}
+		if len(bg) != cfg.width() {
+			return fmt.Errorf("word: background width %d, memory width %d", len(bg), cfg.width())
+		}
+	}
+	return nil
+}
+
 // Detects reports whether applying the bit-oriented march test under every
 // background in the set detects the intra-word fault, for both uniform
 // initial values.
 func Detects(t march.Test, f Fault, bgs []Background, cfg Config) (bool, error) {
-	if err := f.Validate(); err != nil {
+	if err := checkInputs(f, bgs, cfg); err != nil {
 		return false, err
 	}
-	if f.AggBit >= cfg.width() || f.VicBit >= cfg.width() {
-		return false, fmt.Errorf("word: fault bits (%d,%d) exceed width %d", f.AggBit, f.VicBit, cfg.width())
-	}
-	for _, bg := range bgs {
-		if err := bg.Validate(); err != nil {
-			return false, err
-		}
-		if len(bg) != cfg.width() {
-			return false, fmt.Errorf("word: background width %d, memory width %d", len(bg), cfg.width())
-		}
-	}
 	for _, init := range []fp.Value{fp.V0, fp.V1} {
+		content := make(Background, cfg.width())
+		for i := range content {
+			content[i] = init
+		}
 		detected := false
 		for _, bg := range bgs {
-			d, err := runBackground(t, f, bg, cfg, init)
+			d, err := runMarch(t, f, bg, content, cfg)
 			if err != nil {
 				return false, err
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"marchgen"
+	"marchgen/internal/fp"
 )
 
 func TestFacadeParseMarch(t *testing.T) {
@@ -146,5 +147,31 @@ func TestFacadeGenerateAndCertify(t *testing.T) {
 	}
 	if !r.Full() {
 		t.Errorf("Certify: %s", r.Summary())
+	}
+}
+
+// TestTraceWitnessRejectsOutOfRangeScenario: TraceWitness replays on the
+// default 4-cell memory, so a witness taken from a larger simulated memory
+// (here a cell at address 4, as a 5-cell SimulateWith run may report) must
+// come back as an error instead of an index panic.
+func TestTraceWitnessRejectsOutOfRangeScenario(t *testing.T) {
+	mats, _ := marchgen.MarchByName("MATS+")
+	f, err := marchgen.SimpleFault("<0w1/0/->")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := []marchgen.AddrOrder{marchgen.Up, marchgen.Up, marchgen.Down}
+	var buf bytes.Buffer
+	for _, w := range []marchgen.Witness{
+		{Placement: []int{4}, Init: []fp.Value{fp.V0}, Orders: orders},
+		{Placement: []int{0}, Init: nil, Orders: orders},
+	} {
+		if err := marchgen.TraceWitness(&buf, mats, f, w); err == nil {
+			t.Errorf("TraceWitness accepted %s", w)
+		}
+	}
+	ok := marchgen.Witness{Placement: []int{3}, Init: []fp.Value{fp.V0}, Orders: orders}
+	if err := marchgen.TraceWitness(&buf, mats, f, ok); err != nil {
+		t.Errorf("TraceWitness(%s): %v", ok, err)
 	}
 }

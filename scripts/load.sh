@@ -4,8 +4,9 @@
 #
 #   1. Nominal: a modest mixed workload against a default-sized instance.
 #      Gate: zero admission sheds, cache-hit class fully green. This run
-#      writes BENCH_serve.json (latency percentiles per class, shed
-#      counts, allocs-per-cached-hit) — the committed serving benchmark.
+#      writes its report (latency percentiles per class, shed counts,
+#      allocs-per-cached-hit) to out.json, which also serves as the
+#      overload run's baseline.
 #   2. Overload: ~5x the concurrency against a deliberately small
 #      instance (2 workers, queue 8, tightened CoDel knobs). Gates: the
 #      admission controller MUST shed (min-shed), the cache-hit class
@@ -16,13 +17,16 @@
 #      the scheduler with the server, so overload-run client-side
 #      queueing inflates measured p99 well beyond the server's own.)
 #
-# Usage: scripts/load.sh [out.json]   (default BENCH_serve.json)
+# Usage: scripts/load.sh [out.json]
+#   Without out.json the report goes to a temporary file, so the gate
+#   leaves the tree untouched; `make bench-serve` passes BENCH_serve.json
+#   to refresh the committed serving benchmark.
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_serve.json}"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+OUT="${1:-$TMP/nominal.json}"
 
 BIN="$TMP/marchload"
 go build -o "$BIN" ./cmd/marchload
