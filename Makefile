@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race flake bench bench-smoke bench-sim bench-opt opt-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test bench-serve check
+.PHONY: build test vet fmt-check race flake bench bench-smoke bench-sim bench-opt opt-test diag-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test bench-serve check
 
 build:
 	$(GO) build ./...

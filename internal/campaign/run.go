@@ -269,6 +269,12 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 			emit(Event{Kind: EventShardCommitted, Shard: next - 1, Committed: next})
 		}
 	}
+	if firstErr == nil && next < len(shards) {
+		// The feeder stops handing out shards once the context dies, so a
+		// cancel can leave shards that no worker ever saw and no error
+		// reported them.
+		firstErr = runCtx.Err()
+	}
 	if firstErr != nil {
 		return Summary{}, firstErr
 	}

@@ -443,3 +443,18 @@ func TestRunOptimizeUnit(t *testing.T) {
 		}
 	}
 }
+
+// A run canceled before any shard starts commits nothing and must report
+// the cancellation: the shard feeder stops on the dead context, and an
+// empty commit loop is not a finished campaign. The feeder's select picks
+// between a waiting worker and the dead context at random, hence the
+// repetitions.
+func TestRunCanceledBeforeFirstShard(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		if _, err := Run(ctx, sweepSpec(), t.TempDir(), RunOptions{Workers: 1}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: error = %v, want context.Canceled", i, err)
+		}
+	}
+}

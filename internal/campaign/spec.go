@@ -116,11 +116,11 @@ func (s Spec) Canonical() Spec {
 	if len(s.Orders) == 0 {
 		s.Orders = []string{"free"}
 	}
-	s.Sizes = dedupInts(s.Sizes)
+	s.Sizes = dedup(s.Sizes)
 	if len(s.Sizes) == 0 {
 		s.Sizes = []int{4}
 	}
-	s.Widths = dedupInts(s.Widths)
+	s.Widths = dedup(s.Widths)
 	if len(s.Widths) == 0 {
 		s.Widths = []int{1}
 	}
@@ -129,11 +129,11 @@ func (s Spec) Canonical() Spec {
 	// the axis hashes identically to one that names only the default —
 	// and identically to every pre-axis spec. Plan fills the default back
 	// in locally.
-	s.Ports = dedupInts(s.Ports)
+	s.Ports = dedup(s.Ports)
 	if len(s.Ports) == 1 && s.Ports[0] == 1 {
 		s.Ports = nil
 	}
-	s.Transparent = dedupBools(s.Transparent)
+	s.Transparent = dedup(s.Transparent)
 	if len(s.Transparent) == 1 && !s.Transparent[0] {
 		s.Transparent = nil
 	}
@@ -141,11 +141,11 @@ func (s Spec) Canonical() Spec {
 	if len(s.Topologies) == 0 {
 		s.Topologies = []string{""}
 	}
-	s.Verify = dedupBools(s.Verify)
+	s.Verify = dedup(s.Verify)
 	if len(s.Verify) == 0 {
 		s.Verify = []bool{false}
 	}
-	s.Optimize = dedupOpt(s.Optimize)
+	s.Optimize = dedup(normalizeOpt(s.Optimize))
 	if len(s.Optimize) == 0 {
 		s.Optimize = []OptAxis{{}}
 	}
@@ -241,6 +241,23 @@ func (s Spec) Hash() string {
 // ID returns the campaign identifier derived from the spec hash — the
 // directory name under the store root and the {id} of the marchd API.
 func (s Spec) ID() string { return "c-" + s.Hash()[:16] }
+
+// ValidID reports whether id has the shape ID produces: "c-" and 16
+// lowercase hex digits. Anything else names no campaign — in particular
+// nothing with a path separator or "..", so a caller that checks first
+// can join the id onto its store root safely.
+func ValidID(id string) bool {
+	digits, ok := strings.CutPrefix(id, "c-")
+	if !ok || len(digits) != 16 {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if ch := digits[i]; (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // ParseTopology parses an array shape "RxC" into a topology.
 func ParseTopology(spec string) (topo.Topology, error) {
@@ -386,9 +403,11 @@ func (s Spec) Units() int {
 	return n
 }
 
-func dedup(in []string) []string {
-	var out []string
-	seen := make(map[string]bool, len(in))
+// dedup returns in without repeated values, first occurrence first; an
+// empty in gives nil.
+func dedup[T comparable](in []T) []T {
+	var out []T
+	seen := make(map[T]bool, len(in))
 	for _, v := range in {
 		if !seen[v] {
 			seen[v] = true
@@ -398,49 +417,21 @@ func dedup(in []string) []string {
 	return out
 }
 
-func dedupBools(in []bool) []bool {
-	var out []bool
-	var seen [2]bool
-	for _, v := range in {
-		idx := 0
-		if v {
-			idx = 1
-		}
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupOpt(in []OptAxis) []OptAxis {
-	var out []OptAxis
-	seen := make(map[OptAxis]bool, len(in))
-	for _, v := range in {
+// normalizeOpt spells out an optimizer axis value's implied fields, so
+// values that mean the same run compare equal: seed 0 under a budget is
+// the optimizer's default seed 1, and without a budget the seed and the
+// weight mean nothing.
+func normalizeOpt(in []OptAxis) []OptAxis {
+	out := make([]OptAxis, len(in))
+	for i, v := range in {
 		if v.Budget > 0 && v.Seed == 0 {
-			v.Seed = 1 // the optimizer's default, made explicit
+			v.Seed = 1
 		}
 		if v.Budget == 0 {
-			v.Seed = 0 // seed and weight are meaningless without a budget
+			v.Seed = 0
 			v.BISTWeight = 0
 		}
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupInts(in []int) []int {
-	var out []int
-	seen := make(map[int]bool, len(in))
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+		out[i] = v
 	}
 	return out
 }

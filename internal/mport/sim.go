@@ -136,40 +136,6 @@ func (m *mach) run(t Test, f Fault, pl placement, init []fp.Value, cells []int, 
 	return false
 }
 
-// detectsEvery reports whether the test detects every scenario of the fault,
-// bailing out at the first miss instead of enumerating the full miss list —
-// the generator's minimizer calls it once per fault per trial, and most
-// trials fail on their first missed scenario.
-func detectsEvery(t Test, f Fault, cfg Config) (bool, error) {
-	if err := t.Validate(); err != nil {
-		return false, err
-	}
-	if err := f.Validate(); err != nil {
-		return false, err
-	}
-	n := cfg.size()
-	if f.Cells() >= n {
-		return false, fmt.Errorf("mport: %d-cell fault needs an array larger than %d", f.Cells(), n)
-	}
-	orderSets := orderCombos(t)
-	m := newMach(n)
-	for _, pl := range placements(f, n) {
-		cells := faultCells(f, pl)
-		for bits := 0; bits < 1<<len(cells); bits++ {
-			init := make([]fp.Value, len(cells))
-			for i := range cells {
-				init[i] = fp.ValueOf(uint8(bits>>i) & 1)
-			}
-			for _, orders := range orderSets {
-				if !m.run(t, f, pl, init, cells, orders, n) {
-					return false, nil
-				}
-			}
-		}
-	}
-	return true, nil
-}
-
 // faultCells lists the concrete addresses a placement binds.
 func faultCells(f Fault, pl placement) []int {
 	if f.Class == WCC {
@@ -202,9 +168,11 @@ func placements(f Fault, n int) []placement {
 
 // Detects reports whether the test detects the fault in every placement,
 // every initial value of the fault cells, and every concrete order of its
-// ⇕ elements.
+// ⇕ elements. It stops at the first missed scenario: the generator's
+// minimizer calls it once per fault per trial, and most trials fail on
+// their first miss.
 func Detects(t Test, f Fault, cfg Config) (bool, error) {
-	det, total, err := DetectsCount(t, f, cfg)
+	det, total, err := countScenarios(t, f, cfg, true)
 	return err == nil && det == total, err
 }
 
@@ -213,82 +181,43 @@ func Detects(t Test, f Fault, cfg Config) (bool, error) {
 // the scenario counts as its progress metric: an element that handles some
 // placements of a fault is progress even before the fault is fully covered.
 func DetectsCount(t Test, f Fault, cfg Config) (detected, total int, err error) {
-	missing, total, err := missingScenarios(t, f, cfg)
-	if err != nil {
+	return countScenarios(t, f, cfg, false)
+}
+
+// countScenarios simulates the fault's scenarios and counts the ones the
+// test detects. With stopAtMiss it returns at the first undetected
+// scenario, which total then counts and detected does not.
+func countScenarios(t Test, f Fault, cfg Config, stopAtMiss bool) (detected, total int, err error) {
+	if err := t.Validate(); err != nil {
 		return 0, 0, err
 	}
-	return total - len(missing), total, nil
-}
-
-// scenario is one concrete simulation instance of a fault.
-type scenario struct {
-	pl     placement
-	init   []fp.Value
-	orders []march.AddrOrder
-}
-
-// missingScenarios enumerates the scenarios the test does not detect. The
-// order assignments it returns cover the test's own elements; callers that
-// re-check an *extended* test with detectsScenarios must only append
-// fixed-order elements (the generator's templates never use ⇕).
-func missingScenarios(t Test, f Fault, cfg Config) ([]scenario, int, error) {
-	if err := t.Validate(); err != nil {
-		return nil, 0, err
-	}
 	if err := f.Validate(); err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
 	n := cfg.size()
 	if f.Cells() >= n {
-		return nil, 0, fmt.Errorf("mport: %d-cell fault needs an array larger than %d", f.Cells(), n)
+		return 0, 0, fmt.Errorf("mport: %d-cell fault needs an array larger than %d", f.Cells(), n)
 	}
 	orderSets := orderCombos(t)
 	m := newMach(n)
-	total := 0
-	var missing []scenario
+	init := make([]fp.Value, f.Cells())
 	for _, pl := range placements(f, n) {
 		cells := faultCells(f, pl)
 		for bits := 0; bits < 1<<len(cells); bits++ {
-			init := make([]fp.Value, len(cells))
 			for i := range cells {
 				init[i] = fp.ValueOf(uint8(bits>>i) & 1)
 			}
 			for _, orders := range orderSets {
 				total++
-				if !m.run(t, f, pl, init, cells, orders, n) {
-					missing = append(missing, scenario{pl: pl, init: init, orders: orders})
+				if m.run(t, f, pl, init, cells, orders, n) {
+					detected++
+				} else if stopAtMiss {
+					return detected, total, nil
 				}
 			}
 		}
 	}
-	return missing, total, nil
-}
-
-// detectsScenarios counts how many of the given scenarios the (extended)
-// test detects. Elements beyond the scenario's recorded orders must have
-// fixed address orders.
-func detectsScenarios(t Test, f Fault, scenarios []scenario, cfg Config) (int, error) {
-	n := cfg.size()
-	m := newMach(n)
-	detected := 0
-	for _, s := range scenarios {
-		orders := s.orders
-		if len(t.Elems) > len(orders) {
-			orders = append(append([]march.AddrOrder(nil), orders...), make([]march.AddrOrder, len(t.Elems)-len(s.orders))...)
-			for i := len(s.orders); i < len(t.Elems); i++ {
-				o := t.Elems[i].Order
-				if o == march.Any {
-					return 0, fmt.Errorf("mport: detectsScenarios requires fixed orders in appended elements")
-				}
-				orders[i] = o
-			}
-		}
-		cells := faultCells(f, s.pl)
-		if m.run(t, f, s.pl, s.init, cells, orders, n) {
-			detected++
-		}
-	}
-	return detected, nil
+	return detected, total, nil
 }
 
 // orderCombos expands every ⇕ element of t into both concrete orders,

@@ -183,25 +183,11 @@ func (c *resultCache) Len() int {
 	return c.ll.Len()
 }
 
-// generateKeySchema versions the key derivation; bump it whenever the
-// result document or the canonical encodings change shape, so stale cache
-// entries can never be served across an upgrade. v3: march.Test JSON gained
-// origin/provenance fields.
-const generateKeySchema = "marchd/generate/v3"
-
-// generateKey derives the content address of a generation request: a
-// SHA-256 over the canonical JSON of the fault list and the canonicalized
-// options (stable field order, defaults filled in, result-irrelevant knobs
-// normalized — see Options.Canonical). Requests that differ only in
-// spelling (named list vs. the same faults inline, omitted vs. explicit
-// defaults) therefore share one cache entry.
-func generateKey(faults []marchgen.Fault, opts marchgen.Options) (string, error) {
-	payload := struct {
-		Schema  string           `json:"schema"`
-		Faults  []marchgen.Fault `json:"faults"`
-		Options marchgen.Options `json:"options"`
-	}{generateKeySchema, faults, opts.Canonical()}
-	b, err := json.Marshal(payload)
+// contentKey is the content address of a key document: the hex SHA-256 of
+// its JSON encoding. Every cache key of the service comes from here, so
+// each endpoint's key document alone fixes the bytes it hashes.
+func contentKey(doc any) (string, error) {
+	b, err := json.Marshal(doc)
 	if err != nil {
 		return "", fmt.Errorf("service: cache key: %w", err)
 	}
@@ -209,26 +195,49 @@ func generateKey(faults []marchgen.Fault, opts marchgen.Options) (string, error)
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// generateKeySchema versions the key derivation; bump it whenever the
+// result document or the canonical encodings change shape, so stale cache
+// entries can never be served across an upgrade. v3: march.Test JSON gained
+// origin/provenance fields.
+const generateKeySchema = "marchd/generate/v3"
+
+// generateKeyDoc is the key document of a generation request: the fault
+// list and the canonicalized options (stable field order, defaults filled
+// in, result-irrelevant knobs normalized — see Options.Canonical).
+// Requests that differ only in spelling (named list vs. the same faults
+// inline, omitted vs. explicit defaults) therefore share one cache entry.
+func generateKeyDoc(faults []marchgen.Fault, opts marchgen.Options) any {
+	return struct {
+		Schema  string           `json:"schema"`
+		Faults  []marchgen.Fault `json:"faults"`
+		Options marchgen.Options `json:"options"`
+	}{generateKeySchema, faults, opts.Canonical()}
+}
+
+// generateKey derives the content address of a generation request.
+func generateKey(faults []marchgen.Fault, opts marchgen.Options) (string, error) {
+	return contentKey(generateKeyDoc(faults, opts))
+}
+
 // verifyKeySchema versions the /v1/verify key derivation; bump it on any
 // shape change of the verify result document or its canonical inputs.
 // v2: march.Test JSON gained origin/provenance fields.
 const verifyKeySchema = "marchd/verify/v2"
 
-// verifyKey derives the content address of a verification request: the
-// march test, the fault list and the canonicalized simulator configuration.
-func verifyKey(t marchgen.March, faults []marchgen.Fault, cfg marchgen.SimConfig) (string, error) {
-	payload := struct {
+// verifyKeyDoc is the key document of a verification request: the march
+// test, the fault list and the canonicalized simulator configuration.
+func verifyKeyDoc(t marchgen.March, faults []marchgen.Fault, cfg marchgen.SimConfig) any {
+	return struct {
 		Schema string             `json:"schema"`
 		March  marchgen.March     `json:"march"`
 		Faults []marchgen.Fault   `json:"faults"`
 		Config marchgen.SimConfig `json:"config"`
 	}{verifyKeySchema, t, faults, cfg.Canonical()}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+}
+
+// verifyKey derives the content address of a verification request.
+func verifyKey(t marchgen.March, faults []marchgen.Fault, cfg marchgen.SimConfig) (string, error) {
+	return contentKey(verifyKeyDoc(t, faults, cfg))
 }
 
 // diagnoseKeySchema versions the /v1/diagnose key derivation. The endpoint
@@ -245,36 +254,30 @@ type diagnoseObservation struct {
 	Syndrome string `json:"syndrome"`
 }
 
-// diagnoseKey derives the content address of a diagnosis request: the fault
+// diagnoseKeyDoc is the key document of a diagnosis request: the fault
 // list, the canonicalized simulator configuration and the observation
-// sequence (tests plus sorted syndromes). Localization is a pure function of
-// these inputs, so equal keys mean byte-identical candidate sets.
-func diagnoseKey(faults []marchgen.Fault, cfg marchgen.SimConfig, obs []diagnoseObservation) (string, error) {
-	payload := struct {
+// sequence (tests plus sorted syndromes). Localization is a pure function
+// of these inputs, so equal keys mean byte-identical candidate sets.
+func diagnoseKeyDoc(faults []marchgen.Fault, cfg marchgen.SimConfig, obs []diagnoseObservation) any {
+	return struct {
 		Schema       string                `json:"schema"`
 		Faults       []marchgen.Fault      `json:"faults"`
 		Config       marchgen.SimConfig    `json:"config"`
 		Observations []diagnoseObservation `json:"observations"`
 	}{diagnoseKeySchema, faults, cfg.Canonical(), obs}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // optimizeKeySchema versions the /v1/optimize key derivation; bump it on any
 // shape change of the optimize result document or its canonical inputs.
 const optimizeKeySchema = "marchd/optimize/v1"
 
-// optimizeKey derives the content address of an optimization request: the
-// fault list, the resolved seed test (or the canonical generator options
-// when the seed is generated), and every search knob that can change the
-// winner. An optimizer run is a pure function of these inputs, so equal
-// keys really do mean byte-identical results.
-func optimizeKey(faults []marchgen.Fault, seedTest *marchgen.March, opts marchgen.OptimizeOptions) (string, error) {
-	payload := struct {
+// optimizeKeyDoc is the key document of an optimization request: the fault
+// list, the resolved seed test (or the canonical generator options when the
+// seed is generated), and every search knob that can change the winner. An
+// optimizer run is a pure function of these inputs, so equal keys really
+// do mean byte-identical results.
+func optimizeKeyDoc(faults []marchgen.Fault, seedTest *marchgen.March, opts marchgen.OptimizeOptions) any {
+	doc := struct {
 		Schema    string            `json:"schema"`
 		Faults    []marchgen.Fault  `json:"faults"`
 		SeedTest  *marchgen.March   `json:"seed_test,omitempty"`
@@ -285,8 +288,8 @@ func optimizeKey(faults []marchgen.Fault, seedTest *marchgen.March, opts marchge
 		Beam      int               `json:"beam"`
 		Restarts  int               `json:"restarts"`
 		BISTCells int               `json:"bist_cells"`
-		// BISTWeight joined in PR 10; omitempty keeps every pre-existing
-		// key (weight 0) byte-identical.
+		// BISTWeight joined the key later; omitempty keeps every older key
+		// (weight 0) byte-identical.
 		BISTWeight float64 `json:"bist_weight,omitempty"`
 	}{
 		Schema:     optimizeKeySchema,
@@ -302,12 +305,7 @@ func optimizeKey(faults []marchgen.Fault, seedTest *marchgen.March, opts marchge
 	}
 	if seedTest == nil {
 		gen := opts.Generator.Canonical()
-		payload.Generator = &gen
+		doc.Generator = &gen
 	}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return doc
 }

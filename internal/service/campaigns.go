@@ -384,6 +384,10 @@ func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
 // previous server runs.
 func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if !campaign.ValidID(id) {
+		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+		return
+	}
 	if run, ok := s.campaigns.Get(id); ok {
 		writeJSON(w, http.StatusOK, run.snapshot())
 		return
@@ -412,6 +416,10 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 // reads.
 func (s *Server) handleCampaignResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if !campaign.ValidID(id) {
+		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+		return
+	}
 	dir := filepath.Join(s.campaigns.root, id)
 	cp, _, err := store.Read(dir)
 	if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -190,5 +191,34 @@ func TestCampaignCancelIsResumable(t *testing.T) {
 	}
 	if resumed.Shards.Committed != 3 {
 		t.Fatalf("resumed shards = %+v", resumed.Shards)
+	}
+}
+
+// A campaign id is joined onto the data root, and ServeMux unescapes %2F
+// inside a wildcard, so an id like "../other/c-…" must not climb out of the
+// root: both campaign reads answer 404 for anything that is not an id.
+func TestCampaignIDCannotEscapeDataRoot(t *testing.T) {
+	base := t.TempDir()
+	other := newTestServer(t, Config{Workers: 1, DataDir: filepath.Join(base, "other")})
+	c := decode[Campaign](t, do(t, other, "POST", "/v1/campaigns", `{"name":"elsewhere","lists":["list2"]}`))
+	if done := pollCampaign(t, other, c.ID); done.Status != CampaignDone {
+		t.Fatalf("status = %q (%s)", done.Status, done.Error)
+	}
+
+	s := newTestServer(t, Config{Workers: 1, DataDir: filepath.Join(base, "mine")})
+	escaped := "..%2Fother%2F" + c.ID
+	for _, path := range []string{
+		"/v1/campaigns/" + escaped,
+		"/v1/campaigns/" + escaped + "/results",
+		"/v1/campaigns/" + strings.ToUpper(c.ID[2:]),
+		"/v1/campaigns/" + c.ID + "0/results",
+	} {
+		if w := do(t, s, "GET", path, ""); w.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404: %.80s", path, w.Code, w.Body.String())
+		}
+	}
+	// The campaign itself stays readable from its own root.
+	if w := do(t, other, "GET", "/v1/campaigns/"+c.ID+"/results", ""); w.Code != http.StatusOK {
+		t.Fatalf("own results: status %d", w.Code)
 	}
 }

@@ -2,12 +2,12 @@ package service
 
 import (
 	"context"
-	"net/http"
+	"fmt"
 
 	"marchgen"
 )
 
-// handleDiagnose is POST /v1/diagnose: adaptive fault localization from
+// prepareDiagnose is POST /v1/diagnose: adaptive fault localization from
 // observed syndromes (Wang et al.). The request carries the fault-model
 // space and the syndromes of the march tests a tester has executed; the
 // result is the candidate set of fault instances consistent with every
@@ -18,66 +18,47 @@ import (
 //
 // Localization simulates a signature per candidate instance per observation
 // — generation-grade work — so the endpoint is asynchronous like
-// /v1/generate: a cache hit answers 200 with the stored document, a miss
-// enqueues a job and answers 202 with the poll location.
-func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	var req diagnoseRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// /v1/generate.
+func (s *Server) prepareDiagnose(req diagnoseRequest) (asyncWork, error) {
 	faults, err := req.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad fault spec: %w", err)
 	}
 	obs, canon, err := req.resolveObservations()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad observations: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad observations: %w", err)
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	cfg = cfg.Canonical()
-	key, err := diagnoseKey(faults, cfg, canon)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.serveAsync(w, r, classDiagnose, key, req.TimeoutMS,
-		func(ctx context.Context) ([]byte, error) {
-			cands, err := marchgen.DiagnoseLocalize(faults, obs, cfg)
+	cfg := req.simConfig().Canonical()
+	return asyncWork{classDiagnose, diagnoseKeyDoc(faults, cfg, canon), func(ctx context.Context, key string) ([]byte, error) {
+		cands, err := marchgen.DiagnoseLocalize(faults, obs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var next *marchgen.March
+		if len(cands) > 1 {
+			exclude := make(map[string]bool, len(obs))
+			for _, o := range obs {
+				exclude[o.Test.Name] = true
+			}
+			t, ok, err := marchgen.DiagnoseNextTest(cands, marchgen.Library(), exclude, cfg)
 			if err != nil {
 				return nil, err
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if ok {
+				next = &t
 			}
-			var next *marchgen.March
-			if len(cands) > 1 {
-				exclude := make(map[string]bool, len(obs))
-				for _, o := range obs {
-					exclude[o.Test.Name] = true
-				}
-				t, ok, err := marchgen.DiagnoseNextTest(cands, marchgen.Library(), exclude, cfg)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					next = &t
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			body, err := marshalDiagnoseResult(cands, next, len(obs), cfg, key)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, body)
-			s.metrics.diagnoseDone(len(cands) == 1)
-			return body, nil
-		})
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		body, err := marshalDiagnoseResult(cands, next, len(obs), cfg, key)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.diagnoseDone(len(cands) == 1)
+		return body, nil
+	}}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -137,42 +138,84 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// serveAsync is the shared tail of the asynchronous endpoints (generate,
-// verify, optimize, diagnose). It answers 200 with the cached document for
-// key, or joins the job already computing key, or submits fn as a new job;
-// a joined or new job answers 202 with its poll location. Each 200 or 202
-// answer counts exactly once, as a cache hit, a coalesced join or a miss,
-// and a miss is a request that created a job, so cache_misses moves in
-// lockstep with jobs_submitted.
-func (s *Server) serveAsync(w http.ResponseWriter, r *http.Request, class admitClass, key string, timeoutMS int64, fn func(context.Context) ([]byte, error)) {
-	if body, ok := s.cache.Get(key); ok {
-		s.writeHit(w, body)
-		return
+// asyncWork is what an asynchronous endpoint's prepare step hands the
+// shared route: the admission class of its jobs, the key document whose
+// content address caches the result, and the job computing the result
+// document (which embeds its own key).
+type asyncWork struct {
+	class admitClass
+	key   any
+	run   func(ctx context.Context, key string) ([]byte, error)
+}
+
+// asyncRequest is an asynchronous request body: every one embeds
+// jobDeadline.
+type asyncRequest interface{ deadlineMS() int64 }
+
+// asyncRoute is the one pipeline of the asynchronous endpoints (generate,
+// verify, optimize, diagnose): strict decode, the endpoint's prepare
+// (resolve and canonicalize; its errors are the client's, 400), one
+// content key, then the cache. It answers 200 with the cached document for
+// the key, or joins the job already computing the key, or submits the
+// prepared job; a joined or new job answers 202 with its poll location.
+// Each 200 or 202 answer counts exactly once, as a cache hit, a coalesced
+// join or a miss, and a miss is a request that created a job, so
+// cache_misses moves in lockstep with jobs_submitted.
+func asyncRoute[Req asyncRequest](s *Server, prepare func(Req) (asyncWork, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := decodeBody(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		work, err := prepare(req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		key, err := contentKey(work.key)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if body, ok := s.cache.Get(key); ok {
+			s.writeHit(w, body)
+			return
+		}
+		w.Header().Set("X-Cache", "miss")
+		timeout, err := requestTimeout(r, req.deadlineMS())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		j, body, outcome, err := s.lookupOrSubmit(work.class, key, timeout, func(ctx context.Context) ([]byte, error) {
+			body, err := work.run(ctx, key)
+			if err != nil {
+				return nil, err
+			}
+			// Stored before the job turns terminal, so lookupOrSubmit can
+			// answer a finished job's key from the cache.
+			s.cache.Put(key, body)
+			return body, nil
+		})
+		if err != nil {
+			writeSubmitError(w, err)
+			return
+		}
+		if outcome == cacheHit {
+			s.writeHit(w, body)
+			return
+		}
+		s.metrics.cache(outcome)
+		if outcome == cacheMiss {
+			s.metrics.jobSubmitted()
+		}
+		w.Header().Set("Location", "/v1/jobs/"+j.id)
+		writeJSON(w, http.StatusAccepted, struct {
+			Job  Job    `json:"job"`
+			Poll string `json:"poll"`
+		}{j.snapshot(false), "/v1/jobs/" + j.id})
 	}
-	w.Header().Set("X-Cache", "miss")
-	timeout, err := requestTimeout(r, timeoutMS)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, body, outcome, err := s.lookupOrSubmit(class, key, timeout, fn)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	if outcome == cacheHit {
-		s.writeHit(w, body)
-		return
-	}
-	s.metrics.cache(outcome)
-	if outcome == cacheMiss {
-		s.metrics.jobSubmitted()
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, struct {
-		Job  Job    `json:"job"`
-		Poll string `json:"poll"`
-	}{j.snapshot(false), "/v1/jobs/" + j.id})
 }
 
 // writeHit answers a request from the result cache with the stored bytes.
@@ -182,153 +225,94 @@ func (s *Server) writeHit(w http.ResponseWriter, body []byte) {
 	writeRaw(w, http.StatusOK, body)
 }
 
-// handleGenerate is POST /v1/generate: resolve the fault spec, consult the
-// content-addressed cache, and either answer 200 from cache or enqueue a
-// generation job and answer 202 with the job's poll location.
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req generateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// prepareGenerate is POST /v1/generate: generate a march test covering the
+// fault list.
+func (s *Server) prepareGenerate(req generateRequest) (asyncWork, error) {
 	faults, err := req.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad fault spec: %w", err)
 	}
 	var opts marchgen.Options
 	if req.Options != nil {
 		opts = *req.Options
 	}
 	opts = opts.Canonical()
-
-	key, err := generateKey(faults, opts)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.serveAsync(w, r, classGenerate, key, req.TimeoutMS,
-		func(ctx context.Context) ([]byte, error) {
-			start := time.Now()
-			res, err := marchgen.GenerateContext(ctx, faults, opts)
-			if err != nil {
-				return nil, err
-			}
-			body, err := marshalGenerateResult(res, opts, key)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, body)
-			s.metrics.observeGenerate(time.Since(start))
-			return body, nil
-		})
+	return asyncWork{classGenerate, generateKeyDoc(faults, opts), func(ctx context.Context, key string) ([]byte, error) {
+		start := time.Now()
+		res, err := marchgen.GenerateContext(ctx, faults, opts)
+		if err != nil {
+			return nil, err
+		}
+		body, err := marshalGenerateResult(res, opts, key)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.observeGenerate(time.Since(start))
+		return body, nil
+	}}, nil
 }
 
-// handleVerify is POST /v1/verify: differential cross-check of a march test
-// against a fault list — the production simulator (internal/sim) versus the
-// independent reference oracle (internal/oracle). The cross-check costs two
-// full exhaustive simulations, so the endpoint is asynchronous like
-// /v1/generate: a cache hit answers 200 with the stored document, a miss
-// enqueues a job and answers 202 with the poll location. The result lists
-// every divergence; an empty list means bit-for-bit agreement.
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req verifyRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// prepareVerify is POST /v1/verify: differential cross-check of a march
+// test against a fault list — the production simulator (internal/sim)
+// versus the independent reference oracle (internal/oracle). The
+// cross-check costs two full exhaustive simulations, hence a job. The
+// result lists every divergence; an empty list means bit-for-bit
+// agreement.
+func (s *Server) prepareVerify(req verifyRequest) (asyncWork, error) {
 	test, err := req.March.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad march spec: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad march spec: %w", err)
 	}
 	faults, err := req.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad fault spec: %w", err)
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	cfg = cfg.Canonical()
-	key, err := verifyKey(test, faults, cfg)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.serveAsync(w, r, classVerify, key, req.TimeoutMS,
-		func(ctx context.Context) ([]byte, error) {
-			diffs := marchgen.CrossCheck(test, faults, cfg)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			wordAxis, err := crossCheckWordAxis(ctx, test, cfg.Width)
-			if err != nil {
-				return nil, err
-			}
-			mportAxis, err := crossCheckMportAxis(ctx, test, cfg.Ports)
-			if err != nil {
-				return nil, err
-			}
-			body, err := marshalVerifyResult(test, len(faults), cfg, diffs, wordAxis, mportAxis, key)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, body)
-			return body, nil
-		})
+	cfg := req.simConfig().Canonical()
+	return asyncWork{classVerify, verifyKeyDoc(test, faults, cfg), func(ctx context.Context, key string) ([]byte, error) {
+		diffs := marchgen.CrossCheck(test, faults, cfg)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		wordAxis, err := crossCheckWordAxis(ctx, test, cfg.Width)
+		if err != nil {
+			return nil, err
+		}
+		mportAxis, err := crossCheckMportAxis(ctx, test, cfg.Ports)
+		if err != nil {
+			return nil, err
+		}
+		return marshalVerifyResult(test, len(faults), cfg, diffs, wordAxis, mportAxis, key)
+	}}, nil
 }
 
-// handleOptimize is POST /v1/optimize: search for a shorter full-coverage
+// prepareOptimize is POST /v1/optimize: search for a shorter full-coverage
 // march test starting from a seed (an explicit test or a server-generated
-// one). Asynchronous like /v1/generate: a cache hit answers 200 with the
-// stored document, a miss enqueues a job and answers 202 with the poll
-// location. An improved winner also lands in the runtime march library
-// (with provenance), where /v1/library exposes it.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req optimizeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// one). An improved winner also lands in the runtime march library (with
+// provenance), where /v1/library exposes it.
+func (s *Server) prepareOptimize(req optimizeRequest) (asyncWork, error) {
 	faults, err := req.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad fault spec: %w", err)
 	}
 	seedTest, opts, err := req.options()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad march spec: %v", err)
-		return
+		return asyncWork{}, fmt.Errorf("bad march spec: %w", err)
 	}
-
-	key, err := optimizeKey(faults, seedTest, opts)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.serveAsync(w, r, classOptimize, key, req.TimeoutMS,
-		func(ctx context.Context) ([]byte, error) {
-			lastEvals := 0
-			opts.OnProgress = func(p marchgen.OptimizeProgress) {
-				s.metrics.optimizeProgress(int64(p.Evaluations - lastEvals))
-				lastEvals = p.Evaluations
-			}
-			res, err := marchgen.OptimizeContext(ctx, faults, opts)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.optimizeProgress(int64(res.Stats.Evaluations - lastEvals))
-			s.metrics.optimizeDone(res.Stats.Improved)
-			optimize.Land(res)
-			body, err := marshalOptimizeResult(res, key)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, body)
-			return body, nil
-		})
+	return asyncWork{classOptimize, optimizeKeyDoc(faults, seedTest, opts), func(ctx context.Context, key string) ([]byte, error) {
+		lastEvals := 0
+		opts.OnProgress = func(p marchgen.OptimizeProgress) {
+			s.metrics.optimizeProgress(int64(p.Evaluations - lastEvals))
+			lastEvals = p.Evaluations
+		}
+		res, err := marchgen.OptimizeContext(ctx, faults, opts)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.optimizeProgress(int64(res.Stats.Evaluations - lastEvals))
+		s.metrics.optimizeDone(res.Stats.Improved)
+		optimize.Land(res)
+		return marshalOptimizeResult(res, key)
+	}}, nil
 }
 
 // handleJobGet is GET /v1/jobs/{id}: the job snapshot, with the result
@@ -373,148 +357,146 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot(false))
 }
 
-// handleSimulate is POST /v1/simulate: synchronous fault simulation of a
-// march test against a fault list.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+// syncWork computes a synchronous endpoint's response document. Its errors
+// are request-shaped (the march test or config cannot express the fault
+// list) and answer 422.
+type syncWork func(ctx context.Context) (any, error)
+
+// syncRoute is the one pipeline of the synchronous endpoints (simulate,
+// detects): strict decode, the endpoint's prepare (400 on error), then the
+// shared tail — X-Deadline validation, one simulate-class admission slot,
+// and the work raced against the deadline.
+func syncRoute[Req any](s *Server, prepare func(Req) (syncWork, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := decodeBody(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		work, err := prepare(req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		// The work context is the request's, which http.TimeoutHandler
+		// already bounds by the server's sync timeout, tightened by
+		// X-Deadline when the client sends one.
+		deadline, err := requestTimeout(r, 0)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ctx := r.Context()
+		if deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+			defer cancel()
+		}
+		if shed := s.admit.acquire(classSimulate); shed != nil {
+			s.metrics.shed(string(classSimulate))
+			writeShed(w, shed)
+			return
+		}
+		// The simulator has no context hook, so the deadline is enforced by
+		// racing it: the goroutine owns the admission slot until the work
+		// really finishes, even when the response has already gone out as 504
+		// — abandoned work must keep counting against the class's concurrency.
+		// A panic is carried back and re-raised here, where the route's
+		// containment answers 500 and counts it.
+		type outcome struct {
+			doc      any
+			err      error
+			panicked any
+		}
+		ch := make(chan outcome, 1)
+		go func() {
+			defer s.admit.release(classSimulate)
+			defer func() {
+				if p := recover(); p != nil {
+					ch <- outcome{panicked: fmt.Sprintf("%v\n%s", p, debug.Stack())}
+				}
+			}()
+			doc, err := work(ctx)
+			ch <- outcome{doc: doc, err: err}
+		}()
+		select {
+		case <-ctx.Done():
+			writeError(w, http.StatusGatewayTimeout, "deadline exceeded before simulation finished")
+		case out := <-ch:
+			switch {
+			case out.panicked != nil:
+				panic(out.panicked)
+			case out.err != nil:
+				writeError(w, http.StatusUnprocessableEntity, "%v", out.err)
+			default:
+				writeJSON(w, http.StatusOK, out.doc)
+			}
+		}
 	}
+}
+
+// prepareSimulate is POST /v1/simulate: fault simulation of a march test
+// against a fault list.
+func prepareSimulate(req simulateRequest) (syncWork, error) {
 	test, err := req.March.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad march spec: %v", err)
-		return
+		return nil, fmt.Errorf("bad march spec: %w", err)
 	}
 	faults, err := req.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault spec: %v", err)
-		return
+		return nil, fmt.Errorf("bad fault spec: %w", err)
 	}
-	cfg := marchgen.SimConfig{}
-	if req.Config != nil {
-		cfg = *req.Config
-	} else {
-		cfg = defaultSimConfig()
-	}
-	if shed := s.admit.acquire(classSimulate); shed != nil {
-		s.metrics.shed(string(classSimulate))
-		writeShed(w, shed)
-		return
-	}
-	ctx, cancel, err := syncContext(r)
-	if err != nil {
-		s.admit.release(classSimulate)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	// The simulator has no context hook, so the deadline is enforced by
-	// racing it: the goroutine owns the admission slot until the work
-	// really finishes, even when the response has already gone out as 504
-	// — abandoned work must keep counting against the class's concurrency.
-	type simOutcome struct {
-		report marchgen.Report
-		word   *marchgen.WordResult
-		mport  *marchgen.MportResult
-		err    error
-	}
-	ch := make(chan simOutcome, 1)
-	go func() {
-		defer s.admit.release(classSimulate)
-		var out simOutcome
-		out.report = marchgen.SimulateWith(test, faults, cfg)
-		if out.report.Err() == nil {
-			// The axis sections (nil at width=1/ports=1, so pre-axis
-			// responses keep their exact shape).
-			out.word, out.err = marchgen.EvaluateWord(ctx, test, cfg.Width, false)
-			if out.err == nil {
-				out.mport, out.err = marchgen.EvaluateMport(ctx, test, cfg.Ports)
-			}
+	cfg := req.simConfig()
+	return func(ctx context.Context) (any, error) {
+		report := marchgen.SimulateWith(test, faults, cfg)
+		if err := report.Err(); err != nil {
+			return nil, fmt.Errorf("simulation failed: %w", err)
 		}
-		ch <- out
-	}()
-	select {
-	case <-ctx.Done():
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before simulation finished")
-		return
-	case out := <-ch:
-		if err := out.report.Err(); err != nil {
-			// Simulation errors are request-shaped: the march test or config
-			// cannot express the fault list (⇕ expansion cap, memory too small).
-			writeError(w, http.StatusUnprocessableEntity, "simulation failed: %v", err)
-			return
+		// The axis sections (nil at width=1/ports=1, so pre-axis responses
+		// keep their exact shape).
+		word, err := marchgen.EvaluateWord(ctx, test, cfg.Width, false)
+		if err != nil {
+			return nil, fmt.Errorf("axis evaluation failed: %w", err)
 		}
-		if out.err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "axis evaluation failed: %v", out.err)
-			return
+		mport, err := marchgen.EvaluateMport(ctx, test, cfg.Ports)
+		if err != nil {
+			return nil, fmt.Errorf("axis evaluation failed: %w", err)
 		}
-		writeJSON(w, http.StatusOK, struct {
+		return struct {
 			Report  marchgen.Report       `json:"report"`
 			Word    *marchgen.WordResult  `json:"word,omitempty"`
 			Mport   *marchgen.MportResult `json:"mport,omitempty"`
 			Summary string                `json:"summary"`
-		}{out.report, out.word, out.mport, out.report.Summary()})
-	}
+		}{report, word, mport, report.Summary()}, nil
+	}, nil
 }
 
-// syncContext derives a synchronous handler's work context: the request
-// context (which http.TimeoutHandler already bounds by the server's sync
-// timeout), tightened by X-Deadline when the client sends one.
-func syncContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d, err := requestTimeout(r, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d <= 0 {
-		ctx, cancel := context.WithCancel(r.Context())
-		return ctx, cancel, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
-}
-
-// handleDetects is POST /v1/detects: does the march test detect this one
+// prepareDetects is POST /v1/detects: does the march test detect this one
 // fault in every scenario?
-func (s *Server) handleDetects(w http.ResponseWriter, r *http.Request) {
-	var req detectsRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+func prepareDetects(req detectsRequest) (syncWork, error) {
 	test, err := req.March.resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad march spec: %v", err)
-		return
+		return nil, fmt.Errorf("bad march spec: %w", err)
 	}
 	if req.Fault == nil {
-		writeError(w, http.StatusBadRequest, "bad fault spec: request names no fault")
-		return
+		return nil, errors.New("bad fault spec: request names no fault")
 	}
-	cfg := defaultSimConfig()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	if shed := s.admit.acquire(classSimulate); shed != nil {
-		s.metrics.shed(string(classSimulate))
-		writeShed(w, shed)
-		return
-	}
-	detected, witness, err := marchgen.DetectsWith(test, *req.Fault, cfg)
-	s.admit.release(classSimulate)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "simulation failed: %v", err)
-		return
-	}
-	out := struct {
-		Fault    marchgen.Fault `json:"fault"`
-		Detected bool           `json:"detected"`
-		Witness  string         `json:"witness,omitempty"`
-	}{*req.Fault, detected, ""}
-	if witness != nil {
-		out.Witness = witness.String()
-	}
-	writeJSON(w, http.StatusOK, out)
+	fault, cfg := *req.Fault, req.simConfig()
+	return func(context.Context) (any, error) {
+		detected, witness, err := marchgen.DetectsWith(test, fault, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("simulation failed: %w", err)
+		}
+		out := struct {
+			Fault    marchgen.Fault `json:"fault"`
+			Detected bool           `json:"detected"`
+			Witness  string         `json:"witness,omitempty"`
+		}{fault, detected, ""}
+		if witness != nil {
+			out.Witness = witness.String()
+		}
+		return out, nil
+	}, nil
 }
 
 // handleLibrary is GET /v1/library: the shipped march tests.
@@ -574,10 +556,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap.Fabric = &fc
 	}
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// defaultSimConfig is the exhaustive default the API documents for omitted
-// configs.
-func defaultSimConfig() marchgen.SimConfig {
-	return marchgen.SimConfig{Size: 4, ExhaustiveOrders: true}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,12 +19,17 @@ import (
 func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
-	// Occupy the lone worker with a slow job, then flood the queue.
-	running := do(t, s, "POST", "/v1/generate", `{"list":"list1","options":{"name":"tomb-run"}}`)
-	if running.Code != http.StatusAccepted {
-		t.Fatalf("running submit: %d: %s", running.Code, running.Body.String())
+	// Occupy the lone worker with a job that runs until canceled, then
+	// flood the queue. (A real generation is not slow enough: list1 can
+	// finish while the flood is still being submitted on a loaded machine.)
+	occupier, _, _, err := s.lookupOrSubmit(classGenerate, "tomb-run", 0, func(ctx context.Context) ([]byte, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatalf("running submit: %v", err)
 	}
-	runID := decode[jobEnvelope](t, running).Job.ID
+	runID := occupier.id
 	deadline := time.Now().Add(10 * time.Second)
 	for s.jobs.Depth() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

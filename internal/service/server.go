@@ -197,12 +197,12 @@ func New(cfg Config) *Server {
 	s.campaigns.onTerminal = s.metrics.campaignTerminal
 
 	mux := http.NewServeMux()
-	s.route(mux, "POST /v1/generate", s.handleGenerate)
-	s.route(mux, "POST /v1/verify", s.handleVerify)
-	s.route(mux, "POST /v1/optimize", s.handleOptimize)
-	s.route(mux, "POST /v1/diagnose", s.handleDiagnose)
-	s.route(mux, "POST /v1/simulate", s.timeout(s.handleSimulate))
-	s.route(mux, "POST /v1/detects", s.timeout(s.handleDetects))
+	s.route(mux, "POST /v1/generate", asyncRoute(s, s.prepareGenerate))
+	s.route(mux, "POST /v1/verify", asyncRoute(s, s.prepareVerify))
+	s.route(mux, "POST /v1/optimize", asyncRoute(s, s.prepareOptimize))
+	s.route(mux, "POST /v1/diagnose", asyncRoute(s, s.prepareDiagnose))
+	s.route(mux, "POST /v1/simulate", s.timeout(syncRoute(s, prepareSimulate)))
+	s.route(mux, "POST /v1/detects", s.timeout(syncRoute(s, prepareDetects)))
 	s.route(mux, "GET /v1/library", s.handleLibrary)
 	s.route(mux, "GET /v1/faultlists", s.handleFaultLists)
 	s.route(mux, "GET /v1/jobs/{id}", s.handleJobGet)

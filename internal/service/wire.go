@@ -66,6 +66,39 @@ func (ms marchSpec) resolve() (marchgen.March, error) {
 	return t, nil
 }
 
+// jobDeadline is the timeout_ms field every asynchronous request body
+// embeds (JSON flattens it into the body's own fields).
+type jobDeadline struct {
+	// TimeoutMS is the per-job deadline in milliseconds; 0 (or a value
+	// beyond the server's cap) means the server's maximum job timeout.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+func (d jobDeadline) deadlineMS() int64 { return d.TimeoutMS }
+
+// simConfigSpec is the config field of the request bodies that run the
+// simulator.
+type simConfigSpec struct {
+	// Config selects the simulator configuration; omitted means the
+	// exhaustive default (4 cells, every placement, init and order).
+	Config *marchgen.SimConfig `json:"config,omitempty"`
+}
+
+// simConfig returns the requested configuration, or the default when the
+// request omits it.
+func (cs simConfigSpec) simConfig() marchgen.SimConfig {
+	if cs.Config != nil {
+		return *cs.Config
+	}
+	return defaultSimConfig()
+}
+
+// defaultSimConfig is the exhaustive default the API documents for omitted
+// configs.
+func defaultSimConfig() marchgen.SimConfig {
+	return marchgen.SimConfig{Size: 4, ExhaustiveOrders: true}
+}
+
 // generateRequest is the POST /v1/generate body.
 type generateRequest struct {
 	faultSpec
@@ -73,18 +106,14 @@ type generateRequest struct {
 	// documented defaults (the canonical form is what the job runs and what
 	// the cache key hashes).
 	Options *marchgen.Options `json:"options,omitempty"`
-	// TimeoutMS is the per-job deadline in milliseconds; 0 (or a value
-	// beyond the server's cap) means the server's maximum job timeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	jobDeadline
 }
 
 // simulateRequest is the POST /v1/simulate body.
 type simulateRequest struct {
 	March marchSpec `json:"march"`
 	faultSpec
-	// Config selects the simulator configuration; omitted means the
-	// exhaustive default (4 cells, every placement, init and order).
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	simConfigSpec
 }
 
 // verifyRequest is the POST /v1/verify body: a march test, a fault list and
@@ -93,12 +122,8 @@ type simulateRequest struct {
 type verifyRequest struct {
 	March marchSpec `json:"march"`
 	faultSpec
-	// Config selects the simulator configuration; omitted means the
-	// exhaustive default (4 cells, every placement, init and order).
-	Config *marchgen.SimConfig `json:"config,omitempty"`
-	// TimeoutMS is the per-job deadline in milliseconds; 0 (or a value
-	// beyond the server's cap) means the server's maximum job timeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	simConfigSpec
+	jobDeadline
 }
 
 // verifyAxisJSON is one axis cross-check section of a verify result: the
@@ -162,9 +187,7 @@ type optimizeRequest struct {
 	BISTWeight float64 `json:"bist_weight,omitempty"`
 	// Generator configures seed generation when March is omitted.
 	Generator *marchgen.Options `json:"generator,omitempty"`
-	// TimeoutMS is the per-job deadline in milliseconds; 0 (or a value
-	// beyond the server's cap) means the server's maximum job timeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	jobDeadline
 }
 
 // options resolves the request into explicit optimizer options: the seed
@@ -253,8 +276,8 @@ func marshalOptimizeResult(res marchgen.OptimizeResult, key string) ([]byte, err
 type detectsRequest struct {
 	March marchSpec `json:"march"`
 	// Fault is the single fault to check, in the linked-fault wire form.
-	Fault  *marchgen.Fault     `json:"fault"`
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	Fault *marchgen.Fault `json:"fault"`
+	simConfigSpec
 }
 
 // statsJSON is the wire form of generation statistics.
@@ -316,14 +339,11 @@ type observationSpec struct {
 // with their syndromes).
 type diagnoseRequest struct {
 	faultSpec
-	// Config selects the memory model; omitted means the 4-cell default.
-	Config *marchgen.SimConfig `json:"config,omitempty"`
+	simConfigSpec
 	// Observations is the executed-test/syndrome sequence, in execution
 	// order. At least one is required.
 	Observations []observationSpec `json:"observations"`
-	// TimeoutMS is the per-job deadline in milliseconds; 0 (or a value
-	// beyond the server's cap) means the server's maximum job timeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	jobDeadline
 }
 
 // resolveObservations parses and resolves the observation sequence into the
