@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race flake bench bench-smoke bench-sim bench-opt opt-test diag-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test bench-serve check
+.PHONY: build test vet fmt-check race flake bench bench-smoke bench-opt opt-test diag-test serve test-service smoke chaos cluster-test fuzz verify-oracle load-test check
 
 build:
 	$(GO) build ./...
@@ -43,14 +43,11 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim .
 
-## bench-sim: regenerate BENCH_sim.json (the lanes section measured now,
-## next to the recorded per-scenario baseline and scalar schedule).
-bench-sim:
-	$(GO) run ./cmd/experiments -bench-sim BENCH_sim.json
-
 ## bench-opt: regenerate BENCH_opt.json — the search-based optimizer run
 ## against the paper's Table 1 baselines (37n / 35n for List #1, 9n for
-## List #2), every winner oracle-certified.
+## List #2) and from the generator's own List #1 test, every winner
+## oracle-certified. A length record: it regenerates byte-identically up
+## to its timestamp.
 bench-opt:
 	$(GO) run ./cmd/experiments -bench-opt BENCH_opt.json
 
@@ -124,15 +121,9 @@ fuzz:
 ## run must finish with zero admission sheds, then a 5x-overload run
 ## against a deliberately small instance must shed cold generates with
 ## 429 + Retry-After while the cache-hit class stays >=99% green with its
-## p99 within 3x of nominal. Writes no tracked file (bench-serve does).
+## p99 within 3x of nominal. Writes no tracked file.
 load-test:
 	./scripts/load.sh
-
-## bench-serve: regenerate BENCH_serve.json (serving latency percentiles
-## per workload class, shed counts, allocs-per-cached-hit) via the
-## nominal+overload load.sh run.
-bench-serve:
-	./scripts/load.sh BENCH_serve.json
 
 ## verify-oracle: the differential gate (DESIGN.md §11) — cross-check the
 ## production simulator against the independent reference oracle over the

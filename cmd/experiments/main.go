@@ -8,8 +8,6 @@
 //
 //	experiments                    # everything (minutes)
 //	experiments -quick             # skip the generation-heavy sections
-//	experiments -bench-sim FILE    # only benchmark the fault simulator,
-//	                               # writing FILE (see BENCH_sim.json)
 //	experiments -bench-opt FILE    # only run the march optimizer against
 //	                               # the Table 1 baselines (see BENCH_opt.json)
 //
@@ -58,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "skip the generation-heavy sections")
-	benchSim := fs.String("bench-sim", "", "benchmark the fault simulator and write the results to `FILE`, then exit")
 	benchOpt := fs.String("bench-opt", "", "run the march optimizer against the Table 1 baselines and write the results to `FILE`, then exit")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -66,15 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *version {
 		buildinfo.Fprint(stdout, "experiments")
-		return exitOK
-	}
-
-	if *benchSim != "" {
-		fmt.Fprintln(stdout, "== Fault simulator throughput (compiled schedules vs pre-schedule baseline) ==")
-		if err := runBenchSim(*benchSim, stdout); err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return exitErr
-		}
 		return exitOK
 	}
 
@@ -165,7 +153,7 @@ func runAll(w io.Writer, quick bool) error {
 
 	// Section 3b: word-oriented backgrounds.
 	fmt.Fprintln(w, "\n== Word-oriented memories (4-bit words, intra-word couplings) ==")
-	wcfg := word.Config{Words: 2, Width: 4}
+	wcfg := word.Config{Width: 4}
 	testable := word.TestableIntraWordFaults(4)
 	bgsAll, err := word.Backgrounds(4)
 	if err != nil {

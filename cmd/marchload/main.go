@@ -14,7 +14,7 @@
 // -admit-target/-admit-interval) on a loopback port, which makes the
 // harness self-contained for CI: no daemon management, no port juggling.
 //
-// The report lands as JSON (BENCH_serve.json by convention, see -out):
+// The report is JSON, written to the -out file when one is given:
 // per-class p50/p99/p999, request totals, shed counts, healthz samples
 // observed during the run, and allocs-per-cached-hit derived from the
 // server's /metrics runtime sample across -alloc-sample back-to-back hits.
@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.coldList, "cold-list", "list1", "fault list the cold-generate class requests")
 	fs.DurationVar(&cfg.opTimeout, "op-timeout", 10*time.Second, "per-operation deadline (submit + poll)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "rng seed for the workload mix")
-	fs.StringVar(&cfg.out, "out", "", "write the JSON report here (e.g. BENCH_serve.json)")
+	fs.StringVar(&cfg.out, "out", "", "write the JSON report to this file")
 	fs.StringVar(&cfg.baseline, "baseline", "", "baseline report for the cached-p99 ratio gate")
 	fs.IntVar(&cfg.allocSample, "alloc-sample", 0, "sample allocs-per-cached-hit over N back-to-back hits")
 	fs.Int64Var(&cfg.maxShed, "max-shed", -1, "gate: fail when total sheds exceed this (-1 disables)")

@@ -38,7 +38,7 @@ type gateResult struct {
 	Detail string `json:"detail"`
 }
 
-// loadReport is the BENCH_serve.json document.
+// loadReport is the JSON report -out writes and -baseline reads.
 type loadReport struct {
 	GeneratedAt string       `json:"generated_at"`
 	Target      string       `json:"target"`

@@ -215,7 +215,7 @@ func (v *verifier) checkWord(t march.Test, width int) {
 		fmt.Fprintf(v.stdout, "VIOLATION word w=%d: %v\n", width, err)
 		return
 	}
-	diffs, err := oracle.CrossCheckWord(t, word.TestableIntraWordFaults(width), bgs, word.Config{Words: 2, Width: width})
+	diffs, err := oracle.CrossCheckWord(t, word.TestableIntraWordFaults(width), bgs, word.Config{Width: width})
 	if err != nil {
 		v.violations++
 		fmt.Fprintf(v.stdout, "VIOLATION word %s w=%d: %v\n", t.Name, width, err)

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	const width = 4
-	cfg := word.Config{Words: 2, Width: width}
+	cfg := word.Config{Width: width}
 
 	bgs, err := word.Backgrounds(width)
 	if err != nil {

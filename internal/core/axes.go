@@ -96,7 +96,7 @@ func EvaluateWord(ctx context.Context, t march.Test, width int, transparent bool
 		return nil, err
 	}
 	faults := word.TestableIntraWordFaults(width)
-	cfg := word.Config{Words: 2, Width: width}
+	cfg := word.Config{Width: width}
 	detected := 0
 	for _, f := range faults {
 		if err := ctx.Err(); err != nil {

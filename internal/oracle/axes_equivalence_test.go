@@ -18,7 +18,7 @@ func TestWordRefEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults := word.IntraWordFaults(width)
-		cfg := word.Config{Words: 2, Width: width}
+		cfg := word.Config{Width: width}
 		for _, m := range march.Lib() {
 			diffs, err := CrossCheckWord(m, faults, bgs, cfg)
 			if err != nil {
@@ -41,7 +41,7 @@ func TestWordTransparentRefEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := word.IntraWordFaults(width)
-	cfg := word.Config{Words: 2, Width: width}
+	cfg := word.Config{Width: width}
 	checked := 0
 	for _, m := range march.Lib() {
 		tt, err := word.Transparent(m)

@@ -223,15 +223,15 @@ func runWordTransparentRef(t march.Test, f word.Fault, bg word.Background, words
 	return false, nil
 }
 
+// wordDims is the reference memory's shape: two words, as in internal/word
+// (a word-local fault sits identically in every word), of the configured
+// width, 0 meaning 4.
 func wordDims(cfg word.Config) (words, width int) {
-	words, width = cfg.Words, cfg.Width
-	if words <= 0 {
-		words = 2
-	}
+	width = cfg.Width
 	if width <= 0 {
 		width = 4
 	}
-	return words, width
+	return 2, width
 }
 
 // WordDiff records a verdict divergence between internal/word and the

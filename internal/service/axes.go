@@ -25,7 +25,7 @@ func crossCheckWordAxis(ctx context.Context, t marchgen.March, width int) (*veri
 		return nil, err
 	}
 	faults := word.TestableIntraWordFaults(width)
-	cfg := word.Config{Words: 2, Width: width}
+	cfg := word.Config{Width: width}
 	diffs, err := oracle.CrossCheckWord(t, faults, bgs, cfg)
 	if err != nil {
 		return nil, err

@@ -91,7 +91,7 @@ func FuzzWordBackgrounds(f *testing.F) {
 			return
 		}
 		faults := TestableIntraWordFaults(width)
-		cfg := Config{Words: 2, Width: width}
+		cfg := Config{Width: width}
 		prev := -1
 		for k := 1; k <= len(bgs); k++ {
 			det, err := Coverage(march.MATSPlus, faults, bgs[:k], cfg)

@@ -163,20 +163,15 @@ func TestableIntraWordFaults(width int) []Fault {
 	return out
 }
 
+// memWords is the number of words the model simulates. Intra-word faults
+// are word-local and sit identically in every word, so two words exercise
+// the address loop and more cannot change a verdict.
+const memWords = 2
+
 // Config controls the word-level simulation.
 type Config struct {
-	// Words is the number of words; 0 means 2 (intra-word faults are
-	// word-local, so two words suffice to exercise the address loop).
-	Words int
 	// Width is the word width; 0 means 4.
 	Width int
-}
-
-func (c Config) words() int {
-	if c.Words <= 0 {
-		return 2
-	}
-	return c.Words
 }
 
 func (c Config) width() int {
@@ -191,9 +186,9 @@ type wmemory struct {
 	good, faulty [][]fp.Value // [word][bit]
 }
 
-func newWMemory(words, width int) *wmemory {
+func newWMemory(width int) *wmemory {
 	m := &wmemory{}
-	for w := 0; w < words; w++ {
+	for w := 0; w < memWords; w++ {
 		m.good = append(m.good, make([]fp.Value, width))
 		m.faulty = append(m.faulty, make([]fp.Value, width))
 	}
@@ -278,10 +273,10 @@ func runMarch(t march.Test, f Fault, bg, content Background, cfg Config) (bool, 
 	if err := t.Validate(); err != nil {
 		return false, err
 	}
-	m := newWMemory(cfg.words(), cfg.width())
+	m := newWMemory(cfg.width())
 	m.load(f, content)
 	for _, e := range t.Elems {
-		for _, w := range e.Order.Addresses(cfg.words()) {
+		for _, w := range e.Order.Addresses(memWords) {
 			for _, op := range e.Ops {
 				switch op.Kind {
 				case fp.OpWrite:

@@ -3,10 +3,9 @@
 # marchload runs against in-process (-selfserve) marchd instances.
 #
 #   1. Nominal: a modest mixed workload against a default-sized instance.
-#      Gate: zero admission sheds, cache-hit class fully green. This run
-#      writes its report (latency percentiles per class, shed counts,
-#      allocs-per-cached-hit) to out.json, which also serves as the
-#      overload run's baseline.
+#      Gate: zero admission sheds, cache-hit class fully green. Its
+#      report (latency percentiles per class, shed counts,
+#      allocs-per-cached-hit) is the overload run's baseline.
 #   2. Overload: ~5x the concurrency against a deliberately small
 #      instance (2 workers, queue 8, tightened CoDel knobs). Gates: the
 #      admission controller MUST shed (min-shed), the cache-hit class
@@ -17,16 +16,15 @@
 #      the scheduler with the server, so overload-run client-side
 #      queueing inflates measured p99 well beyond the server's own.)
 #
-# Usage: scripts/load.sh [out.json]
-#   Without out.json the report goes to a temporary file, so the gate
-#   leaves the tree untouched; `make bench-serve` passes BENCH_serve.json
-#   to refresh the committed serving benchmark.
+# Usage: scripts/load.sh
+#   Both reports go to a temporary directory, so the gate leaves the tree
+#   untouched. Performance figures come from perfbench/, not from here.
 set -eu
 cd "$(dirname "$0")/.."
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
-OUT="${1:-$TMP/nominal.json}"
+OUT="$TMP/nominal.json"
 
 BIN="$TMP/marchload"
 go build -o "$BIN" ./cmd/marchload
