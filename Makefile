@@ -92,10 +92,11 @@ chaos:
 ## cluster-test: the distributed-fabric gate (DESIGN.md §13) — in-process
 ## 1-coordinator/3-worker clusters proving merged results byte-identical
 ## to a single-node run, including the kill-a-worker chaos case and the
-## lease-expiry / work-stealing paths, plus the fabric routes through the
-## full marchd handler stack.
+## lease-expiry / work-stealing paths, the fabric routes through the
+## full marchd handler stack, the campaign committer both paths commit
+## through, and the coordinator's segment replay.
 cluster-test:
-	$(GO) test -count=1 -run 'TestCluster|TestFabric' ./internal/fabric/ ./internal/service/
+	$(GO) test -count=1 -run 'TestCluster|TestFabric|TestCommitter|TestSubmitReplaysSegments' ./internal/fabric/ ./internal/service/ ./internal/campaign/
 
 ## fuzz: time-boxed fuzzing of every parser boundary (march notation, FP
 ## specs, op streams), the store's torn-tail recovery, the fabric's

@@ -208,7 +208,7 @@ func runAll(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		r, err := mport.Simulate(lifted, cat, mport.Config{})
+		r, err := mport.Simulate(lifted, cat)
 		if err != nil {
 			return err
 		}

@@ -40,7 +40,6 @@ import (
 
 	"marchgen/internal/buildinfo"
 	"marchgen/internal/campaign"
-	"marchgen/internal/store"
 )
 
 // Exit codes of the marchcamp command.
@@ -266,27 +265,20 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return exitError
 	}
-	if err := campaign.Report(stdout, campDir); err != nil {
+	snap, err := campaign.Report(stdout, campDir)
+	if err != nil {
 		fmt.Fprintln(stderr, "marchcamp:", err)
 		return exitError
 	}
 	// Completeness gate: the report above renders whatever is committed,
 	// but a partial result set must not exit 0 — CI recipes pipe the
 	// matrix into papers and dashboards and need a machine-checkable
-	// "this sweep is finished" signal (exit 4 otherwise).
-	sf, err := campaign.LoadSpecFile(campDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "marchcamp:", err)
-		return exitError
-	}
-	cp, err := store.ReadCheckpoint(campDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "marchcamp:", err)
-		return exitError
-	}
-	if planned := len(campaign.Plan(sf.Spec)); cp.Shards < planned {
+	// "this sweep is finished" signal (exit 4 otherwise). It judges the
+	// snapshot the matrix was rendered from, so a cluster committing the
+	// last shard mid-report cannot pair a partial matrix with exit 0.
+	if !snap.Complete() {
 		fmt.Fprintf(stderr, "marchcamp: campaign %s incomplete: %d/%d shards committed (resume the run, or wait for the cluster to finish)\n",
-			sf.ID, cp.Shards, planned)
+			snap.SpecFile.ID, snap.Checkpoint.Shards, snap.Shards)
 		return exitIncomplete
 	}
 	return exitOK

@@ -238,7 +238,7 @@ func (v *verifier) checkMport(t march.Test) {
 		fmt.Fprintf(v.stdout, "VIOLATION mport lift %s: %v\n", t.Name, err)
 		return
 	}
-	diffs, err := oracle.CrossCheckMport(lifted, mport.Catalog(), mport.Config{})
+	diffs, err := oracle.CrossCheckMport(lifted, mport.Catalog())
 	if err != nil {
 		v.violations++
 		fmt.Fprintf(v.stdout, "VIOLATION mport %s: %v\n", t.Name, err)

@@ -184,25 +184,18 @@ func RenderTests(w io.Writer, results []UnitResult) error {
 
 // Report loads a campaign directory and writes the matrix and the
 // generated-test listing: the implementation behind `marchcamp report`.
-func Report(w io.Writer, dir string) error {
-	sf, err := LoadSpecFile(dir)
+// It returns the snapshot it rendered, so a caller can judge completeness
+// from the same read.
+func Report(w io.Writer, dir string) (Snapshot, error) {
+	snap, err := Load(dir)
 	if err != nil {
-		return err
+		return Snapshot{}, err
 	}
-	cp, recs, err := store.Read(dir)
-	if err != nil {
-		return err
-	}
-	results, err := Decode(recs)
-	if err != nil {
-		return err
-	}
-	total := sf.Spec.Units()
-	shards := len(Plan(sf.Spec))
+	sf, results := snap.SpecFile, snap.Results
 	title := fmt.Sprintf("Campaign %s (%s): %d/%d units in %d/%d shards committed",
-		sf.ID, displayName(sf.Spec), len(results), total, cp.Shards, shards)
+		sf.ID, displayName(sf.Spec), len(results), sf.Spec.Units(), snap.Checkpoint.Shards, snap.Shards)
 	if err := RenderMatrix(w, title, results); err != nil {
-		return err
+		return snap, err
 	}
 	hasOpt := false
 	for _, r := range results {
@@ -214,12 +207,12 @@ func Report(w io.Writer, dir string) error {
 	if hasOpt {
 		fmt.Fprintln(w)
 		if err := RenderFrontier(w, results); err != nil {
-			return err
+			return snap, err
 		}
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Generated tests:")
-	return RenderTests(w, results)
+	return snap, RenderTests(w, results)
 }
 
 func displayName(s Spec) string {

@@ -2,11 +2,8 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -77,54 +74,6 @@ type Summary struct {
 	UnitErrors  int    `json:"unit_errors"`
 }
 
-// specFileName holds the human-readable campaign identity inside the store
-// directory (the canonical spec plus its hash), written once and atomically.
-const specFileName = "spec.json"
-
-// SpecFile is the on-disk form of spec.json.
-type SpecFile struct {
-	ID   string `json:"id"`
-	Hash string `json:"hash"`
-	Spec Spec   `json:"spec"`
-}
-
-// Dir returns the store directory of a spec under the given root.
-func (s Spec) Dir(root string) string { return filepath.Join(root, s.ID()) }
-
-// EnsureSpecFile writes dir/spec.json for the canonical spec if it is not
-// already present. Both the single-node engine and the fabric coordinator
-// go through it, so a campaign directory carries the same spec.json bytes
-// whichever path created it.
-func EnsureSpecFile(fsys iofault.FS, dir string, c Spec) error {
-	if fsys == nil {
-		fsys = iofault.OS{}
-	}
-	if _, err := os.Stat(filepath.Join(dir, specFileName)); !errors.Is(err, os.ErrNotExist) {
-		if err != nil {
-			return fmt.Errorf("campaign: %w", err)
-		}
-		return nil
-	}
-	sf, err := json.Marshal(SpecFile{ID: c.ID(), Hash: c.Hash(), Spec: c})
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return store.WriteFileAtomicFS(fsys, filepath.Join(dir, specFileName), sf)
-}
-
-// LoadSpecFile reads the spec.json of a campaign directory.
-func LoadSpecFile(dir string) (SpecFile, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, specFileName))
-	if err != nil {
-		return SpecFile{}, fmt.Errorf("campaign: %w", err)
-	}
-	var sf SpecFile
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		return SpecFile{}, fmt.Errorf("campaign: spec.json corrupt: %w", err)
-	}
-	return sf, nil
-}
-
 // shardOut is a worker's finished shard, delivered to the committer.
 type shardOut struct {
 	idx  int
@@ -140,37 +89,19 @@ type shardOut struct {
 // any instant and re-running with Resume yields a result set byte-identical
 // to an uninterrupted run.
 func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary, error) {
-	if err := spec.Validate(); err != nil {
-		return Summary{}, err
-	}
-	c := spec.Canonical()
-	hash := c.Hash()
-	shards := Plan(c)
-	dir := c.Dir(root)
-
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = iofault.OS{}
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return Summary{}, fmt.Errorf("campaign: %w", err)
-	}
-	if err := EnsureSpecFile(fsys, dir, c); err != nil {
-		return Summary{}, err
-	}
-
-	st, err := store.OpenFS(dir, hash, fsys)
+	cm, err := Open(root, spec, opts.FS)
 	if err != nil {
 		return Summary{}, err
 	}
-	defer st.Close()
+	defer cm.Close()
 
-	start := st.Checkpoint().Shards
+	shards := cm.Plan()
+	start := cm.Committed()
 	switch {
-	case start >= len(shards):
-		return summarize(c, dir, st, start) // already complete: idempotent
+	case cm.Done():
+		return summarize(cm, start) // already complete: idempotent
 	case start > 0 && !opts.Resume:
-		return Summary{}, fmt.Errorf("%w (%d/%d shards committed in %s)", ErrNeedsResume, start, len(shards), dir)
+		return Summary{}, fmt.Errorf("%w (%d/%d shards committed in %s)", ErrNeedsResume, start, len(shards), cm.Dir())
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -187,6 +118,10 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 		eventMu.Lock()
 		defer eventMu.Unlock()
 		opts.OnEvent(ev)
+	}
+	cm.ctx = runCtx
+	cm.onCommit = func(shard int) {
+		emit(Event{Kind: EventShardCommitted, Shard: shard, Committed: shard + 1})
 	}
 
 	shardCh := make(chan Shard)
@@ -216,60 +151,22 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 		close(outCh)
 	}()
 
-	// The committer: shards complete in any order, but the store only ever
-	// grows by the next shard in plan order, each commit advancing the
-	// atomic checkpoint. Out-of-order completions wait in pending.
-	pending := make(map[int][]store.Record)
-	next := start
+	// Shards complete in any order; the committer commits them in plan
+	// order. Once the context dies it commits nothing more, so the store
+	// stays at its last checkpoint even if later shards already finished
+	// executing — the same state a SIGKILL between shards leaves behind.
 	var firstErr error
 	for out := range outCh {
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-				cancel() // stop handing out further shards
-			}
-			continue
+		err := out.err
+		if err == nil && firstErr == nil {
+			_, err = cm.Offer(out.idx, out.recs)
 		}
-		if firstErr != nil {
-			continue // drain only: nothing commits after the first failure
-		}
-		pending[out.idx] = out.recs
-		for {
-			recs, ok := pending[next]
-			if !ok {
-				break
-			}
-			// Cancellation is honored *between* shard commits: once the
-			// context dies, the store stays at its last checkpoint even if
-			// later shards already finished executing — the same state a
-			// SIGKILL between shards leaves behind.
-			if err := runCtx.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			delete(pending, next)
-			commitErr := func() error {
-				for _, r := range recs {
-					if err := st.Append(r); err != nil {
-						return err
-					}
-				}
-				return st.Commit(next + 1)
-			}()
-			if commitErr != nil {
-				if firstErr == nil {
-					firstErr = commitErr
-					cancel()
-				}
-				break
-			}
-			next++
-			emit(Event{Kind: EventShardCommitted, Shard: next - 1, Committed: next})
+		if err != nil && firstErr == nil {
+			firstErr = err
+			cancel() // stop handing out further shards; drain the rest
 		}
 	}
-	if firstErr == nil && next < len(shards) {
+	if firstErr == nil && !cm.Done() {
 		// The feeder stops handing out shards once the context dies, so a
 		// cancel can leave shards that no worker ever saw and no error
 		// reported them.
@@ -278,7 +175,7 @@ func Run(ctx context.Context, spec Spec, root string, opts RunOptions) (Summary,
 	if firstErr != nil {
 		return Summary{}, firstErr
 	}
-	return summarize(c, dir, st, start)
+	return summarize(cm, start)
 }
 
 // safeRunShard contains panics from a shard's unit work (or a panicking
@@ -326,28 +223,19 @@ func ExecuteShard(ctx context.Context, sh Shard, memo *Memo) ([]store.Record, er
 	return out.recs, out.err
 }
 
-func summarize(c Spec, dir string, st *store.Store, resumedFrom int) (Summary, error) {
-	recs, err := st.Records()
+func summarize(cm *Committer, resumedFrom int) (Summary, error) {
+	snap, err := Load(cm.Dir())
 	if err != nil {
 		return Summary{}, err
 	}
-	unitErrs := 0
-	for _, r := range recs {
-		var doc struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(r.Body, &doc) == nil && doc.Error != "" {
-			unitErrs++
-		}
-	}
 	return Summary{
-		ID:          c.ID(),
-		SpecHash:    c.Hash(),
-		Dir:         dir,
-		Shards:      st.Checkpoint().Shards,
-		Units:       st.Checkpoint().Records,
+		ID:          cm.Spec().ID(),
+		SpecHash:    cm.Spec().Hash(),
+		Dir:         cm.Dir(),
+		Shards:      snap.Checkpoint.Shards,
+		Units:       snap.Checkpoint.Records,
 		ResumedFrom: resumedFrom,
-		UnitErrors:  unitErrs,
+		UnitErrors:  snap.UnitErrors,
 	}, nil
 }
 

@@ -273,10 +273,11 @@ func TestSpecFileWritten(t *testing.T) {
 	if _, err := Run(context.Background(), spec, root, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	sf, err := LoadSpecFile(spec.Dir(root))
+	snap, err := Load(spec.Dir(root))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sf := snap.SpecFile
 	if sf.ID != spec.ID() || sf.Hash != spec.Hash() || sf.Spec.Name != "meta" {
 		t.Fatalf("spec file = %+v", sf)
 	}
@@ -292,8 +293,13 @@ func TestReportRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := Report(&b, spec.Dir(root)); err != nil {
+	snap, err := Report(&b, spec.Dir(root))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !snap.Complete() || len(snap.Results) != 4 || snap.UnitErrors != 0 {
+		t.Fatalf("report snapshot: complete=%v, %d results, %d unit errors; want complete, 4, 0",
+			snap.Complete(), len(snap.Results), snap.UnitErrors)
 	}
 	out := b.String()
 	for _, want := range []string{"Campaign " + spec.ID(), "list2", "8x8", "4/4 units", "Generated tests:", "vs LF1"} {
@@ -433,7 +439,7 @@ func TestRunOptimizeUnit(t *testing.T) {
 
 	// The frontier renders from the stored records.
 	var b strings.Builder
-	if err := Report(&b, spec.Dir(root)); err != nil {
+	if _, err := Report(&b, spec.Dir(root)); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -37,36 +37,6 @@ type BISTJSON struct {
 	SingleOrder   bool  `json:"single_order"`
 }
 
-// WordJSON is the word-oriented evaluation of a unit with width > 1: the
-// generated test run against the march-testable intra-word faults of a
-// width-bit word under the standard data-background set.
-type WordJSON struct {
-	Width       int `json:"width"`
-	Backgrounds int `json:"backgrounds"`
-	Faults      int `json:"faults"`
-	Detected    int `json:"detected"`
-	// Transparent fields record the in-field variant of a transparent-axis
-	// unit (Li et al.): the initialization-free test and its coverage under
-	// the representative content set. Omitted for non-transparent units, so
-	// pre-axis records are byte-identical.
-	Transparent         bool   `json:"transparent,omitempty"`
-	TransparentTest     string `json:"transparent_test,omitempty"`
-	TransparentDetected int    `json:"transparent_detected,omitempty"`
-}
-
-// MportJSON is the two-port evaluation of a ports=2 unit: the weak-fault
-// catalog coverage retained by the single-port test when lifted (port B
-// idle), plus the dedicated two-port march the directed constructor builds
-// for the catalog.
-type MportJSON struct {
-	Ports          int    `json:"ports"`
-	Faults         int    `json:"faults"`
-	LiftedDetected int    `json:"lifted_detected"`
-	Test           string `json:"test"`
-	TestLength     int    `json:"test_length"`
-	TestDetected   int    `json:"test_detected"`
-}
-
 // TopoJSON reports how the array shape interacts with logical address
 // order: the number of logically adjacent address pairs that are not
 // physically adjacent (what scrambled/wide arrays hide from march tests).
@@ -121,13 +91,17 @@ type UnitResult struct {
 	Coverage CoverageJSON `json:"coverage"`
 	// Simulations is the generator's candidate-evaluation count (the
 	// search-effort column of the sweep).
-	Simulations int           `json:"simulations"`
-	BIST        BISTJSON      `json:"bist"`
-	Word        *WordJSON     `json:"word,omitempty"`
-	Mport       *MportJSON    `json:"mport,omitempty"`
-	Topo        *TopoJSON     `json:"topo,omitempty"`
-	Verify      *VerifyJSON   `json:"verify,omitempty"`
-	Optimize    *OptimizeJSON `json:"optimize,omitempty"`
+	Simulations int      `json:"simulations"`
+	BIST        BISTJSON `json:"bist"`
+	// Word is the word-oriented evaluation of a width > 1 unit and Mport
+	// the two-port evaluation of a ports=2 unit, recorded as core computes
+	// them (their transparent fields are omitted for non-transparent units,
+	// so pre-axis records are byte-identical).
+	Word     *core.WordResult  `json:"word,omitempty"`
+	Mport    *core.MportResult `json:"mport,omitempty"`
+	Topo     *TopoJSON         `json:"topo,omitempty"`
+	Verify   *VerifyJSON       `json:"verify,omitempty"`
+	Optimize *OptimizeJSON     `json:"optimize,omitempty"`
 	// Error records a unit-level failure (e.g. a fault list the constrained
 	// generator cannot cover). Failed units are results, not run aborts: the
 	// error text is deterministic and the sweep continues.
@@ -264,15 +238,7 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitR
 
 	if u.Width > 1 {
 		w, err := core.EvaluateWord(ctx, gen.Test, u.Width, u.Transparent)
-		if w != nil {
-			res.Word = &WordJSON{
-				Width: w.Width, Backgrounds: w.Backgrounds,
-				Faults: w.Faults, Detected: w.Detected,
-				Transparent:         w.Transparent,
-				TransparentTest:     w.TransparentTest,
-				TransparentDetected: w.TransparentDetected,
-			}
-		}
+		res.Word = w
 		if err != nil {
 			if ctx.Err() != nil {
 				return res, ctx.Err()
@@ -296,14 +262,7 @@ func buildResult(ctx context.Context, u Unit, gen core.Result, err error) (UnitR
 			res.Error = err.Error()
 			return res, nil
 		}
-		res.Mport = &MportJSON{
-			Ports:          mres.Ports,
-			Faults:         mres.Faults,
-			LiftedDetected: mres.LiftedDetected,
-			Test:           mres.Test,
-			TestLength:     mres.TestLength,
-			TestDetected:   mres.TestDetected,
-		}
+		res.Mport = mres
 	}
 	return res, nil
 }

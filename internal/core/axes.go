@@ -156,7 +156,7 @@ var mportGen struct {
 func catalogMarch() (mport.Test, mport.Report, error) {
 	mportGen.once.Do(func() {
 		mportGen.test, mportGen.rep, mportGen.err =
-			mport.Generate(mport.Catalog(), mport.Options{Config: mport.Config{}})
+			mport.Generate(mport.Catalog(), mport.Options{})
 	})
 	return mportGen.test, mportGen.rep, mportGen.err
 }
@@ -173,12 +173,11 @@ func EvaluateMport(ctx context.Context, t march.Test, ports int) (*MportResult, 
 		return nil, err
 	}
 	catalog := mport.Catalog()
-	cfg := mport.Config{}
 	lifted, err := mport.Lift(t)
 	if err != nil {
 		return nil, fmt.Errorf("core: mport lift: %v", err)
 	}
-	liftedRep, err := mport.Simulate(lifted, catalog, cfg)
+	liftedRep, err := mport.Simulate(lifted, catalog)
 	if err != nil {
 		return nil, fmt.Errorf("core: mport simulate lifted: %v", err)
 	}

@@ -81,7 +81,7 @@ func (c Config) schema() string {
 type SubmitOptions struct{}
 
 // shard scheduling states. "done" means "never schedule again": the shard
-// is committed or staged in the merger awaiting its plan-order turn.
+// is committed or staged in the committer awaiting its plan-order turn.
 const (
 	shardPending = iota
 	shardLeased
@@ -97,13 +97,12 @@ type lease struct {
 }
 
 type session struct {
-	spec   campaign.Spec // canonical
-	id     string
-	dir    string
-	plan   []campaign.Shard
-	state  []uint8
-	merger *Merger
-	st     *store.Store
+	id    string
+	cm    *campaign.Committer
+	plan  []campaign.Shard
+	state []uint8
+	// by credits each staged shard to the worker whose report was fresh.
+	by     map[int]string
 	leases map[string]*lease
 	done   bool
 }
@@ -182,81 +181,68 @@ func (c *Coordinator) Join(req JoinRequest) (JoinResponse, error) {
 	return JoinResponse{Worker: w.id, Version: c.cfg.version(), Schema: c.cfg.schema()}, nil
 }
 
-// Submit registers a campaign for distributed execution. It prepares the
-// store directory exactly like the single-node path (same spec.json, same
-// store layout), replays any per-worker segments left by a previous
-// coordinator incarnation, and exposes the plan's shards for leasing.
-// Submitting a spec that is already registered (or already complete on
-// disk) is idempotent.
+// Submit registers a campaign for distributed execution. It opens the
+// campaign directory with campaign.Open, as the single-node path does
+// (same spec.json, same store, same committer), replays any per-worker
+// segments left by a previous coordinator incarnation, and exposes the
+// plan's shards for leasing. Submitting a spec that is already registered
+// (or already complete on disk) is idempotent.
 func (c *Coordinator) Submit(spec campaign.Spec, opts SubmitOptions) (SessionStatus, error) {
-	if err := spec.Validate(); err != nil {
-		return SessionStatus{}, err
-	}
-	can := spec.Canonical()
-	id := can.ID()
+	id := spec.Canonical().ID()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.sessions[id]; ok {
-		return c.sessionStatusLocked(s), nil
+		return c.sessionStatusLocked(s), nil // only valid specs are registered
 	}
 
+	cm, err := campaign.Open(c.cfg.root(), spec, c.cfg.FS)
+	if err != nil {
+		return SessionStatus{}, err
+	}
+	fail := func(err error) (SessionStatus, error) {
+		cm.Close()
+		return SessionStatus{}, err
+	}
 	fsys := c.cfg.FS
 	if fsys == nil {
 		fsys = iofault.OS{}
 	}
-	dir := can.Dir(c.cfg.root())
-	if err := fsys.MkdirAll(store.SegmentsDir(dir), 0o755); err != nil {
-		return SessionStatus{}, fmt.Errorf("fabric: %w", err)
+	if err := fsys.MkdirAll(store.SegmentsDir(cm.Dir()), 0o755); err != nil {
+		return fail(fmt.Errorf("fabric: %w", err))
 	}
-	if err := campaign.EnsureSpecFile(fsys, dir, can); err != nil {
-		return SessionStatus{}, err
-	}
-	st, err := store.OpenFS(dir, can.Hash(), fsys)
-	if err != nil {
-		return SessionStatus{}, err
-	}
-
-	plan := campaign.Plan(can)
 	s := &session{
-		spec:   can,
 		id:     id,
-		dir:    dir,
-		plan:   plan,
-		state:  make([]uint8, len(plan)),
-		merger: NewMerger(st, plan),
-		st:     st,
+		cm:     cm,
+		plan:   cm.Plan(),
+		state:  make([]uint8, len(cm.Plan())),
+		by:     make(map[int]string),
 		leases: make(map[string]*lease),
-	}
-	for i := 0; i < s.merger.Committed() && i < len(plan); i++ {
-		s.state[i] = shardDone
 	}
 
 	// Replay segments from a previous coordinator incarnation: every
 	// fsynced shard report survives a coordinator crash, so resumption
 	// never re-executes work that was already streamed back.
-	segs, err := store.ReadSegments(dir)
+	segs, err := store.ReadSegments(cm.Dir())
 	if err != nil {
-		st.Close()
-		return SessionStatus{}, err
+		return fail(err)
 	}
 	for _, worker := range sortedKeys(segs) {
-		for shard, recs := range GroupShards(plan, segs[worker]) {
-			fresh, err := s.merger.Offer(worker, shard, recs)
+		for shard, recs := range GroupShards(s.plan, segs[worker]) {
+			fresh, err := cm.Offer(shard, recs)
 			if errors.Is(err, ErrBadShard) {
 				continue // incomplete or torn bucket: will be re-executed
 			}
 			if err != nil {
-				st.Close()
-				return SessionStatus{}, err
+				return fail(err)
 			}
 			if fresh {
-				s.state[shard] = shardDone
+				s.by[shard] = worker
 			}
 		}
 	}
 	for i := range s.state {
-		if s.merger.Staged(i) {
+		if cm.Staged(i) {
 			s.state[i] = shardDone
 		}
 	}
@@ -264,7 +250,7 @@ func (c *Coordinator) Submit(spec campaign.Spec, opts SubmitOptions) (SessionSta
 	c.sessions[id] = s
 	c.order = append(c.order, id)
 	c.finishIfDoneLocked(s)
-	c.logf("fabric: campaign %s submitted (%d shards, %d committed)", id, len(plan), s.merger.Committed())
+	c.logf("fabric: campaign %s submitted (%d shards, %d committed)", id, len(s.plan), cm.Committed())
 	return c.sessionStatusLocked(s), nil
 }
 
@@ -332,10 +318,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		return CompleteResponse{}, fmt.Errorf("%w: %q", ErrUnknownCampaign, req.Campaign)
 	}
 	c.sweepExpiredLocked()
-	if req.Shard < 0 || req.Shard >= len(s.plan) {
-		return CompleteResponse{}, fmt.Errorf("%w: shard %d outside plan [0,%d)", ErrBadShard, req.Shard, len(s.plan))
-	}
-	if err := ValidateShard(s.plan[req.Shard], req.Records); err != nil {
+	if err := campaign.ValidateShard(s.plan, req.Shard, req.Records); err != nil {
 		return CompleteResponse{}, err
 	}
 
@@ -345,21 +328,21 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		resp.From, resp.To = l.from, l.to
 	}
 
-	if s.merger.Staged(req.Shard) {
+	if s.cm.Staged(req.Shard) {
 		c.counters.Duplicates++
 		resp.Duplicate = true
 		resp.Done = s.done
 		return resp, nil
 	}
 
-	fsys := c.cfg.FS
-	if fsys == nil {
-		fsys = iofault.OS{}
-	}
-	if err := store.AppendSegmentFS(fsys, store.SegmentPath(s.dir, req.Worker), req.Records); err != nil {
+	if err := store.AppendSegmentFS(c.cfg.FS, store.SegmentPath(s.cm.Dir(), req.Worker), req.Records); err != nil {
 		return CompleteResponse{}, err
 	}
-	if _, err := s.merger.Offer(req.Worker, req.Shard, req.Records); err != nil {
+	fresh, err := s.cm.Offer(req.Shard, req.Records)
+	if fresh {
+		s.by[req.Shard] = req.Worker
+	}
+	if err != nil {
 		return CompleteResponse{}, err
 	}
 	s.state[req.Shard] = shardDone
@@ -396,7 +379,7 @@ func (c *Coordinator) Status() Status {
 	for _, id := range c.order {
 		s := c.sessions[id]
 		out.Campaigns = append(out.Campaigns, c.sessionStatusLocked(s))
-		for _, w := range s.merger.CommittedBy() {
+		for _, w := range s.by {
 			shardsBy[w]++
 		}
 	}
@@ -422,10 +405,7 @@ func (c *Coordinator) Shutdown() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.sessions {
-		if s.st != nil {
-			s.st.Close()
-			s.st = nil
-		}
+		s.cm.Close()
 	}
 }
 
@@ -478,7 +458,7 @@ func (c *Coordinator) grantLocked(s *session, worker string, from, to int, stole
 	return &LeaseGrant{
 		Lease:     l.id,
 		Campaign:  s.id,
-		Spec:      s.spec,
+		Spec:      s.cm.Spec(),
 		From:      from,
 		To:        to,
 		TTLMillis: c.cfg.leaseTTL().Milliseconds(),
@@ -529,28 +509,26 @@ func (c *Coordinator) allDoneLocked() bool {
 }
 
 func (c *Coordinator) finishIfDoneLocked(s *session) {
-	if s.done || !s.merger.Done() {
+	if s.done || !s.cm.Done() {
 		return
 	}
 	s.done = true
 	for lid := range s.leases {
 		delete(s.leases, lid)
 	}
-	if s.st != nil {
-		s.st.Close()
-		s.st = nil
-	}
+	s.cm.Close()
 	c.logf("fabric: campaign %s complete (%d shards)", s.id, len(s.plan))
 }
 
 func (c *Coordinator) sessionStatusLocked(s *session) SessionStatus {
+	spec := s.cm.Spec()
 	out := SessionStatus{
 		ID:        s.id,
-		Name:      s.spec.Name,
-		Dir:       s.dir,
+		Name:      spec.Name,
+		Dir:       s.cm.Dir(),
 		Shards:    len(s.plan),
-		Units:     s.spec.Units(),
-		Committed: s.merger.Committed(),
+		Units:     spec.Units(),
+		Committed: s.cm.Committed(),
 		Done:      s.done,
 	}
 	now := c.now()
@@ -562,7 +540,7 @@ func (c *Coordinator) sessionStatusLocked(s *session) SessionStatus {
 		})
 	}
 	by := make(map[string]int)
-	for _, w := range s.merger.CommittedBy() {
+	for _, w := range s.by {
 		by[w]++
 	}
 	if len(by) > 0 {

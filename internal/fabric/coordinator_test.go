@@ -313,6 +313,50 @@ func TestSubmitReplaysSegments(t *testing.T) {
 	}
 }
 
+// TestStatusCreditsFirstReporter pins the per-worker attribution: a shard
+// counts for the worker whose report first staged it, whatever order the
+// shards commit in, and a duplicate report credits nobody.
+func TestStatusCreditsFirstReporter(t *testing.T) {
+	c := newTestCoordinator(t, nil, 100)
+	spec := testSpec()
+	plan := campaign.Plan(spec)
+	if _, err := c.Submit(spec, SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	w1, w2 := join(t, c), join(t, c)
+	g, err := c.Lease(LeaseRequest{Worker: w1})
+	if err != nil || g.Lease == nil {
+		t.Fatal(err)
+	}
+	complete := func(w string, shard int) CompleteResponse {
+		t.Helper()
+		resp, err := c.Complete(CompleteRequest{
+			Worker: w, Lease: g.Lease.Lease, Campaign: spec.ID(), Shard: shard, Records: fakeRecs(plan[shard]),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, shard := range []int{2, 1, 4} {
+		complete(w1, shard)
+	}
+	complete(w2, 0)
+	if !complete(w2, 2).Duplicate {
+		t.Fatal("second report of shard 2 was not a duplicate")
+	}
+	for _, shard := range []int{3, 5} {
+		complete(w1, shard)
+	}
+	got := map[string]int{}
+	for _, w := range c.Status().Workers {
+		got[w.Worker] = w.Shards
+	}
+	if got[w1] != 5 || got[w2] != 1 {
+		t.Fatalf("shards by worker = %v, want %s:5 %s:1", got, w1, w2)
+	}
+}
+
 func mustJoin(t *testing.T, c *Coordinator) string {
 	t.Helper()
 	resp, err := c.Join(JoinRequest{Version: "test-v1", Schema: campaign.SpecSchema})

@@ -4,7 +4,7 @@
 // with the existing campaign runner (campaign.ExecuteShard) and stream the
 // completed records back; the coordinator journals every report into a
 // per-worker segment file (internal/store segments) and merges shards
-// through the same in-order committer as a single-node run — so the final
+// through the single-node run's own committer (campaign.Committer) — so the final
 // store is byte-identical to what `marchcamp run` would have produced on
 // one machine, in the same c-<hash16> directory layout.
 //
@@ -21,8 +21,8 @@
 // pending, an idle worker steals the tail half of the largest outstanding
 // lease, so one straggler never gates campaign completion. Both paths can
 // double-execute a shard; that is safe because unit results are
-// deterministic, so duplicate reports carry identical bytes and the merger
-// commits whichever arrives first.
+// deterministic, so duplicate reports carry identical bytes and the
+// committer commits whichever arrives first.
 package fabric
 
 import (
@@ -50,8 +50,9 @@ var (
 	// coordinator is not running.
 	ErrUnknownCampaign = errors.New("fabric: unknown campaign")
 	// ErrBadShard rejects a completed shard whose records do not match the
-	// plan (wrong count, ids, order, or invalid JSON bodies).
-	ErrBadShard = errors.New("fabric: shard records do not match plan")
+	// plan (wrong count, ids, order, or invalid JSON bodies); the campaign
+	// committer's admission test raises it.
+	ErrBadShard = campaign.ErrBadShard
 )
 
 // JoinRequest introduces a worker to the coordinator. Version and Schema

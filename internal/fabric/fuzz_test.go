@@ -27,7 +27,7 @@ func segmentBytes(tb testing.TB, recs []store.Record) []byte {
 }
 
 // FuzzSegmentMerge drives the coordinator's segment-replay path —
-// ParseSegment → GroupShards → Merger.Offer — with arbitrary segment
+// ParseSegment → GroupShards → campaign.Committer.Offer — with arbitrary segment
 // bytes and holds it to its contract: whatever the segment says
 // (duplicates, out-of-order shards, torn tails, mutated ids, binary
 // garbage), the store's already-committed prefix is never altered, every
@@ -57,23 +57,15 @@ func FuzzSegmentMerge(f *testing.F) {
 	f.Add([]byte(`{"id":"u-torn`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A fresh store with shard 0 already committed: the prefix the
+		// A fresh campaign with shard 0 already committed: the prefix the
 		// segment must never be able to damage.
-		dir := spec.Dir(t.TempDir())
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		st, err := store.Open(dir, spec.Hash())
+		cm, err := campaign.Open(t.TempDir(), spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
-		for _, r := range fakeRecs(plan[0]) {
-			if err := st.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Commit(1); err != nil {
+		defer cm.Close()
+		dir := cm.Dir()
+		if _, err := cm.Offer(0, fakeRecs(plan[0])); err != nil {
 			t.Fatal(err)
 		}
 		prefix, err := os.ReadFile(store.DataPath(dir))
@@ -81,11 +73,10 @@ func FuzzSegmentMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		m := NewMerger(st, plan)
 		for shard, bucket := range GroupShards(plan, store.ParseSegment(data)) {
 			// ErrBadShard is an acceptable verdict for hostile input;
 			// store I/O errors are not.
-			if _, err := m.Offer("wfuzz", shard, bucket); err != nil && !isBadShard(err) {
+			if _, err := cm.Offer(shard, bucket); err != nil && !isBadShard(err) {
 				t.Fatalf("Offer(%d): %v", shard, err)
 			}
 		}
@@ -97,13 +88,12 @@ func FuzzSegmentMerge(f *testing.F) {
 		if !bytes.HasPrefix(after, prefix) {
 			t.Fatalf("committed prefix was rewritten:\nbefore: %q\nafter:  %q", prefix, after)
 		}
-		cp := st.Checkpoint()
-		if cp.Shards < 1 || cp.Shards != m.Committed() {
-			t.Fatalf("checkpoint shards = %d, merger committed = %d", cp.Shards, m.Committed())
-		}
-		recs, err := st.Records()
+		cp, recs, err := store.Read(dir)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cp.Shards < 1 || cp.Shards != cm.Committed() {
+			t.Fatalf("checkpoint shards = %d, committer committed = %d", cp.Shards, cm.Committed())
 		}
 		// Every committed shard — however it arrived — matches the plan.
 		off := 0
@@ -112,7 +102,7 @@ func FuzzSegmentMerge(f *testing.F) {
 			if off+n > len(recs) {
 				t.Fatalf("store truncated: %d records for %d committed shards", len(recs), cp.Shards)
 			}
-			if err := ValidateShard(plan[shard], recs[off:off+n]); err != nil {
+			if err := campaign.ValidateShard(plan, shard, recs[off:off+n]); err != nil {
 				t.Fatalf("committed shard %d invalid: %v", shard, err)
 			}
 			off += n

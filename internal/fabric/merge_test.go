@@ -2,9 +2,7 @@ package fabric
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"testing"
 
 	"marchgen/internal/campaign"
@@ -23,8 +21,8 @@ func testSpec() campaign.Spec {
 	}.Canonical()
 }
 
-// fakeRecs builds records that satisfy ValidateShard without running any
-// unit work: merge logic is independent of what the bodies say.
+// fakeRecs builds records that satisfy campaign.ValidateShard without
+// running any unit work: merge logic is independent of what the bodies say.
 func fakeRecs(sh campaign.Shard) []store.Record {
 	recs := make([]store.Record, 0, len(sh.Units))
 	for _, u := range sh.Units {
@@ -34,139 +32,6 @@ func fakeRecs(sh campaign.Shard) []store.Record {
 		})
 	}
 	return recs
-}
-
-func openTestStore(t *testing.T, spec campaign.Spec) (*store.Store, string) {
-	t.Helper()
-	dir := spec.Dir(t.TempDir())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir, spec.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	return st, dir
-}
-
-func TestMergerCommitsInPlanOrder(t *testing.T) {
-	spec := testSpec()
-	plan := campaign.Plan(spec)
-	st, _ := openTestStore(t, spec)
-	m := NewMerger(st, plan)
-
-	// Offer shards out of order: nothing commits until the gap fills.
-	for _, shard := range []int{2, 1, 4} {
-		fresh, err := m.Offer("w1", shard, fakeRecs(plan[shard]))
-		if err != nil || !fresh {
-			t.Fatalf("Offer(%d) = (%v, %v), want (true, nil)", shard, fresh, err)
-		}
-	}
-	if got := m.Committed(); got != 0 {
-		t.Fatalf("committed %d shards before shard 0 arrived, want 0", got)
-	}
-	if _, err := m.Offer("w2", 0, fakeRecs(plan[0])); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Committed(); got != 3 {
-		t.Fatalf("committed = %d after shard 0, want 3 (0..2 contiguous)", got)
-	}
-	for _, shard := range []int{3, 5} {
-		if _, err := m.Offer("w1", shard, fakeRecs(plan[shard])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !m.Done() || m.Committed() != len(plan) {
-		t.Fatalf("Done=%v Committed=%d, want complete plan of %d", m.Done(), m.Committed(), len(plan))
-	}
-	if by := m.CommittedBy(); by[0] != "w2" || by[2] != "w1" {
-		t.Fatalf("attribution wrong: %v", by)
-	}
-	recs, err := st.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != spec.Units() {
-		t.Fatalf("store holds %d records, want %d", len(recs), spec.Units())
-	}
-	for i, r := range recs {
-		if r.Seq != i {
-			t.Fatalf("record %d has seq %d: store is not in plan order", i, r.Seq)
-		}
-	}
-}
-
-func TestMergerDuplicatesAreNoOps(t *testing.T) {
-	spec := testSpec()
-	plan := campaign.Plan(spec)
-	st, _ := openTestStore(t, spec)
-	m := NewMerger(st, plan)
-
-	if fresh, err := m.Offer("w1", 0, fakeRecs(plan[0])); err != nil || !fresh {
-		t.Fatalf("first offer: (%v, %v)", fresh, err)
-	}
-	// Duplicate of a committed shard, then of a staged one.
-	if fresh, err := m.Offer("w2", 0, fakeRecs(plan[0])); err != nil || fresh {
-		t.Fatalf("dup of committed shard: (%v, %v), want (false, nil)", fresh, err)
-	}
-	if _, err := m.Offer("w1", 3, fakeRecs(plan[3])); err != nil {
-		t.Fatal(err)
-	}
-	if fresh, err := m.Offer("w2", 3, fakeRecs(plan[3])); err != nil || fresh {
-		t.Fatalf("dup of staged shard: (%v, %v), want (false, nil)", fresh, err)
-	}
-	if cp := st.Checkpoint(); cp.Records != 1 {
-		t.Fatalf("%d records committed, want 1 (duplicates must not append)", cp.Records)
-	}
-}
-
-func TestMergerRejectsMismatchedRecords(t *testing.T) {
-	spec := testSpec()
-	plan := campaign.Plan(spec)
-	st, _ := openTestStore(t, spec)
-	m := NewMerger(st, plan)
-	if _, err := m.Offer("w1", 0, fakeRecs(plan[0])); err != nil {
-		t.Fatal(err)
-	}
-	before := st.Checkpoint()
-
-	bad := []struct {
-		name  string
-		shard int
-		recs  []store.Record
-	}{
-		{"wrong count", 1, nil},
-		{"wrong unit id", 1, func() []store.Record {
-			r := fakeRecs(plan[1])
-			r[0].ID = "u-000000000000000000000000"
-			return r
-		}()},
-		{"wrong seq", 1, func() []store.Record {
-			r := fakeRecs(plan[1])
-			r[0].Seq += 7
-			return r
-		}()},
-		{"wrong shard tag", 1, func() []store.Record {
-			r := fakeRecs(plan[1])
-			r[0].Shard = 5
-			return r
-		}()},
-		{"invalid body", 1, func() []store.Record {
-			r := fakeRecs(plan[1])
-			r[0].Body = json.RawMessage(`{"torn`)
-			return r
-		}()},
-		{"shard out of plan", len(plan) + 3, fakeRecs(plan[1])},
-	}
-	for _, tc := range bad {
-		if _, err := m.Offer("w1", tc.shard, tc.recs); !errors.Is(err, ErrBadShard) {
-			t.Errorf("%s: err = %v, want ErrBadShard", tc.name, err)
-		}
-	}
-	if cp := st.Checkpoint(); cp != before {
-		t.Fatalf("checkpoint moved from %+v to %+v on rejected offers", before, cp)
-	}
 }
 
 func TestGroupShardsNormalizesLooseRecords(t *testing.T) {
@@ -188,7 +53,7 @@ func TestGroupShardsNormalizesLooseRecords(t *testing.T) {
 		t.Fatalf("got %d buckets, want 2: %v", len(buckets), buckets)
 	}
 	for shard, recs := range buckets {
-		if err := ValidateShard(plan[shard], recs); err != nil {
+		if err := campaign.ValidateShard(plan, shard, recs); err != nil {
 			t.Errorf("bucket %d does not validate: %v", shard, err)
 		}
 	}

@@ -11,8 +11,6 @@ import (
 type Options struct {
 	// Name names the generated test ("March 2P" if empty).
 	Name string
-	// Config is the simulation configuration.
-	Config Config
 	// SkipMinimize keeps the raw directed construction (ablation).
 	SkipMinimize bool
 }
@@ -98,8 +96,6 @@ func Generate(faults []Fault, opts Options) (Test, Report, error) {
 	if len(faults) == 0 {
 		return Test{}, Report{}, fmt.Errorf("mport: empty fault list")
 	}
-	cfg := opts.Config
-
 	cand := Test{Name: opts.name()}
 	cand.Elems = append(cand.Elems, Element{Order: march.Any, Ops: []PairOp{{A: fp.W0, BTarget: None}}})
 	cand.Elems = append(cand.Elems, w2Block()...)
@@ -130,10 +126,10 @@ func Generate(faults []Fault, opts Options) (Test, Report, error) {
 	if err := cand.Validate(); err != nil {
 		return Test{}, Report{}, err
 	}
-	if err := cand.CheckConsistency(cfg.size()); err != nil {
+	if err := cand.CheckConsistency(memCells); err != nil {
 		return Test{}, Report{}, err
 	}
-	rep, err := Simulate(cand, faults, cfg)
+	rep, err := Simulate(cand, faults)
 	if err != nil {
 		return Test{}, Report{}, err
 	}
@@ -151,12 +147,12 @@ func Generate(faults []Fault, opts Options) (Test, Report, error) {
 	// refutes them on the first fault instead of sweeping the whole catalog.
 	culprit := 0
 	full := func(t Test) (bool, error) {
-		if t.Validate() != nil || t.CheckConsistency(cfg.size()) != nil {
+		if t.Validate() != nil || t.CheckConsistency(memCells) != nil {
 			return false, nil
 		}
 		for k := 0; k < len(faults); k++ {
 			i := (culprit + k) % len(faults)
-			det, err := Detects(t, faults[i], cfg)
+			det, err := Detects(t, faults[i])
 			if err != nil {
 				return false, err
 			}
@@ -199,7 +195,7 @@ func Generate(faults []Fault, opts Options) (Test, Report, error) {
 		}
 	}
 
-	rep, err = Simulate(cand, faults, cfg)
+	rep, err = Simulate(cand, faults)
 	if err != nil {
 		return Test{}, Report{}, err
 	}

@@ -103,7 +103,6 @@ func TestFireElementShape(t *testing.T) {
 // Each directed fire element actually sensitizes its fault for at least
 // some scenarios when preceded by the right background.
 func TestFireElementSensitizes(t *testing.T) {
-	cfg := Config{}
 	count := 0
 	for _, f := range Catalog() {
 		if f.Class != WCC {
@@ -120,7 +119,7 @@ func TestFireElementSensitizes(t *testing.T) {
 			{Order: march.Up, Ops: []PairOp{{A: fp.RX, BTarget: None}}},
 			{Order: march.Down, Ops: []PairOp{{A: fp.RX, BTarget: None}}},
 		}}
-		det, total, err := DetectsCount(trial, f, cfg)
+		det, total, err := DetectsCount(trial, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,18 +7,10 @@ import (
 	"marchgen/internal/march"
 )
 
-// Config controls the two-port simulation space.
-type Config struct {
-	// Size is the array size; 0 means the default of 4 cells.
-	Size int
-}
-
-func (c Config) size() int {
-	if c.Size <= 0 {
-		return 4
-	}
-	return c.Size
-}
+// memCells is the size of the simulated array: four cells leave a
+// bystander beside the largest fault (a three-cell WCC), and no caller has
+// ever simulated another size.
+const memCells = 4
 
 // placement pins a fault template to concrete addresses. For W2* faults
 // only Cell is used; for WCC faults A1 and A1+1 are the adjacent aggressors
@@ -171,33 +163,29 @@ func placements(f Fault, n int) []placement {
 // ⇕ elements. It stops at the first missed scenario: the generator's
 // minimizer calls it once per fault per trial, and most trials fail on
 // their first miss.
-func Detects(t Test, f Fault, cfg Config) (bool, error) {
-	det, total, err := countScenarios(t, f, cfg, true)
+func Detects(t Test, f Fault) (bool, error) {
+	det, total, err := countScenarios(t, f, true)
 	return err == nil && det == total, err
 }
 
 // DetectsCount returns how many of the fault's scenarios (placement ×
-// initial values × concrete orders) the test detects. The generator uses
-// the scenario counts as its progress metric: an element that handles some
-// placements of a fault is progress even before the fault is fully covered.
-func DetectsCount(t Test, f Fault, cfg Config) (detected, total int, err error) {
-	return countScenarios(t, f, cfg, false)
+// initial values × concrete orders) the test detects: the partial-coverage
+// view Detects collapses to one verdict.
+func DetectsCount(t Test, f Fault) (detected, total int, err error) {
+	return countScenarios(t, f, false)
 }
 
 // countScenarios simulates the fault's scenarios and counts the ones the
 // test detects. With stopAtMiss it returns at the first undetected
 // scenario, which total then counts and detected does not.
-func countScenarios(t Test, f Fault, cfg Config, stopAtMiss bool) (detected, total int, err error) {
+func countScenarios(t Test, f Fault, stopAtMiss bool) (detected, total int, err error) {
 	if err := t.Validate(); err != nil {
 		return 0, 0, err
 	}
 	if err := f.Validate(); err != nil {
 		return 0, 0, err
 	}
-	n := cfg.size()
-	if f.Cells() >= n {
-		return 0, 0, fmt.Errorf("mport: %d-cell fault needs an array larger than %d", f.Cells(), n)
-	}
+	n := memCells
 	orderSets := orderCombos(t)
 	m := newMach(n)
 	init := make([]fp.Value, f.Cells())
@@ -256,10 +244,10 @@ func (r Report) Summary() string {
 }
 
 // Simulate runs the test against every fault.
-func Simulate(t Test, faults []Fault, cfg Config) (Report, error) {
+func Simulate(t Test, faults []Fault) (Report, error) {
 	r := Report{Test: t, Total: len(faults)}
 	for _, f := range faults {
-		det, err := Detects(t, f, cfg)
+		det, err := Detects(t, f)
 		if err != nil {
 			return r, err
 		}

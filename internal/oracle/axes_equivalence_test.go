@@ -69,7 +69,6 @@ func TestWordTransparentRefEquivalence(t *testing.T) {
 // reference.
 func TestMportRefEquivalence(t *testing.T) {
 	catalog := mport.Catalog()
-	cfg := mport.Config{}
 	var tests []mport.Test
 	for _, m := range []march.Test{march.MATSPlus, march.MarchCMinus} {
 		lifted, err := mport.Lift(m)
@@ -78,7 +77,7 @@ func TestMportRefEquivalence(t *testing.T) {
 		}
 		tests = append(tests, lifted)
 	}
-	gen, _, err := mport.Generate(catalog, mport.Options{Config: cfg})
+	gen, _, err := mport.Generate(catalog, mport.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestMportRefEquivalence(t *testing.T) {
 	tests = append(tests, mport.MustParse("hand 2P", "c(w0:-) ^(r0:r0) ^(r0:r0,w1:-,r1:r1) v(r1:w0+1) c(r:r-1)"))
 
 	for _, tt := range tests {
-		diffs, err := CrossCheckMport(tt, catalog, cfg)
+		diffs, err := CrossCheckMport(tt, catalog)
 		if err != nil {
 			t.Fatalf("%s: %v", tt.Name, err)
 		}
@@ -110,7 +109,7 @@ func TestMportRefSeesDivergence(t *testing.T) {
 	// A lifted single-port test must miss every weak two-port fault in both
 	// implementations: they are defined to be invisible to one port.
 	for _, f := range catalog {
-		got, err := MportDetects(lifted, f, mport.Config{})
+		got, err := MportDetects(lifted, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,10 @@ import (
 // read-before-write, boundary clamping, firing conditions, effect values —
 // agree.
 
+// mportCells is the reference array size: four cells, as in internal/mport,
+// leaving a bystander beside the three-cell WCC fault.
+const mportCells = 4
+
 // pairEvent is one fully resolved two-port cycle.
 type pairEvent struct {
 	addrA, addrB int // addrB < 0 when port B idles this cycle
@@ -181,20 +185,14 @@ func refFaultCells(f mport.Fault, pl mportScenario) []int {
 
 // MportDetects is the reference verdict: the test detects the fault in every
 // scenario.
-func MportDetects(t mport.Test, f mport.Fault, cfg mport.Config) (bool, error) {
+func MportDetects(t mport.Test, f mport.Fault) (bool, error) {
 	if err := t.Validate(); err != nil {
 		return false, err
 	}
 	if err := f.Validate(); err != nil {
 		return false, err
 	}
-	n := cfg.Size
-	if n <= 0 {
-		n = 4
-	}
-	if f.Cells() >= n {
-		return false, fmt.Errorf("oracle: %d-cell fault needs an array larger than %d", f.Cells(), n)
-	}
+	n := mportCells
 	m := &mportMach{good: make([]fp.Value, n), fault: make([]fp.Value, n)}
 	for _, sc := range mportScenarios(t, f, n) {
 		for i := range m.good {
@@ -239,14 +237,14 @@ func (d MportDiff) String() string {
 
 // CrossCheckMport runs both two-port implementations over every fault and
 // returns the divergences (empty means agreement).
-func CrossCheckMport(t mport.Test, faults []mport.Fault, cfg mport.Config) ([]MportDiff, error) {
+func CrossCheckMport(t mport.Test, faults []mport.Fault) ([]MportDiff, error) {
 	var diffs []MportDiff
 	for _, f := range faults {
-		got, err := mport.Detects(t, f, cfg)
+		got, err := mport.Detects(t, f)
 		if err != nil {
 			return nil, err
 		}
-		want, err := MportDetects(t, f, cfg)
+		want, err := MportDetects(t, f)
 		if err != nil {
 			return nil, err
 		}

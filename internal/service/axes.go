@@ -52,7 +52,7 @@ func crossCheckMportAxis(ctx context.Context, t marchgen.March, ports int) (*ver
 		return nil, err
 	}
 	catalog := mport.Catalog()
-	diffs, err := oracle.CrossCheckMport(lifted, catalog, mport.Config{})
+	diffs, err := oracle.CrossCheckMport(lifted, catalog)
 	if err != nil {
 		return nil, err
 	}

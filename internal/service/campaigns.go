@@ -291,17 +291,12 @@ func (m *campaignManager) Shutdown(ctx context.Context) error {
 // diskSnapshot reconstructs a campaign snapshot from its store directory —
 // the fallback for campaigns started by a previous server process.
 func (m *campaignManager) diskSnapshot(id string) (Campaign, bool) {
-	dir := filepath.Join(m.root, id)
-	sf, err := campaign.LoadSpecFile(dir)
+	snap, err := campaign.Load(filepath.Join(m.root, id))
 	if err != nil {
 		return Campaign{}, false
 	}
-	cp, recs, err := store.Read(dir)
-	if err != nil {
-		return Campaign{}, false
-	}
-	shards := campaign.Plan(sf.Spec)
-	states := make([]string, len(shards))
+	sf, cp := snap.SpecFile, snap.Checkpoint
+	states := make([]string, snap.Shards)
 	for i := range states {
 		if i < cp.Shards {
 			states[i] = "committed"
@@ -310,24 +305,16 @@ func (m *campaignManager) diskSnapshot(id string) (Campaign, bool) {
 		}
 	}
 	status := CampaignInterrupted
-	if cp.Shards >= len(shards) {
+	if snap.Complete() {
 		status = CampaignDone
-	}
-	unitErrs := 0
-	if results, err := campaign.Decode(recs); err == nil {
-		for _, r := range results {
-			if r.Error != "" {
-				unitErrs++
-			}
-		}
 	}
 	return Campaign{
 		ID:       id,
 		Name:     sf.Spec.Name,
 		SpecHash: sf.Hash,
 		Status:   status,
-		Shards:   ShardProgress{Total: len(shards), Committed: cp.Shards, States: states},
-		Units:    UnitProgress{Total: sf.Spec.Units(), Done: cp.Records, Errors: unitErrs},
+		Shards:   ShardProgress{Total: snap.Shards, Committed: cp.Shards, States: states},
+		Units:    UnitProgress{Total: sf.Spec.Units(), Done: cp.Records, Errors: snap.UnitErrors},
 		Results:  "/v1/campaigns/" + id + "/results",
 	}, true
 }
@@ -421,7 +408,7 @@ func (s *Server) handleCampaignResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dir := filepath.Join(s.campaigns.root, id)
-	cp, _, err := store.Read(dir)
+	snap, err := campaign.Load(dir)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
 		return
@@ -433,6 +420,6 @@ func (s *Server) handleCampaignResults(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Content-Length", fmt.Sprint(cp.Bytes))
-	_, _ = io.CopyN(w, f, cp.Bytes)
+	w.Header().Set("Content-Length", fmt.Sprint(snap.Checkpoint.Bytes))
+	_, _ = io.CopyN(w, f, snap.Checkpoint.Bytes)
 }

@@ -208,9 +208,6 @@ func (s *Schedule) Test() march.Test { return s.test }
 // Config returns the configuration the schedule was compiled under.
 func (s *Schedule) Config() Config { return s.cfg }
 
-// Streams returns the number of compiled order combinations.
-func (s *Schedule) Streams() int { return len(s.orderSets) }
-
 // ScenarioCount returns the number of concrete scenarios the schedule
 // enumerates for a fault: placements × initial values × order combinations.
 func (s *Schedule) ScenarioCount(f linked.Fault) (int, error) {

@@ -262,8 +262,8 @@ func (s *Store) Close() error {
 }
 
 // Read loads a store directory read-only: its checkpoint and the committed
-// records. Used by reporting (marchcamp report, the marchd campaign API)
-// without taking writer ownership.
+// records, without taking writer ownership (campaign.Load reads campaigns
+// through it).
 func Read(dir string) (Checkpoint, []Record, error) {
 	cp, err := ReadCheckpoint(dir)
 	if err != nil {
@@ -273,9 +273,7 @@ func Read(dir string) (Checkpoint, []Record, error) {
 	return cp, recs, err
 }
 
-// ReadCheckpoint loads only the checkpoint of a store directory — the
-// cheap completeness probe (`marchcamp report` uses it to decide its exit
-// code without re-reading the whole result set).
+// ReadCheckpoint loads only the checkpoint of a store directory.
 func ReadCheckpoint(dir string) (Checkpoint, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if err != nil {
@@ -325,15 +323,11 @@ func readRecords(dir string, cp Checkpoint) ([]Record, error) {
 // directory (for serving the raw result set over HTTP).
 func DataPath(dir string) string { return filepath.Join(dir, dataName) }
 
-// WriteFileAtomic replaces path with data via a same-directory temp file,
-// fsyncing the file before the rename and the directory after it.
-func WriteFileAtomic(path string, data []byte) error {
-	return WriteFileAtomicFS(iofault.OS{}, path, data)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic through an explicit filesystem.
-// Unlike earlier revisions, a failed directory sync is reported: a
-// rename whose durability is unknown must not be treated as committed.
+// WriteFileAtomicFS replaces path with data via a same-directory temp file,
+// fsyncing the file before the rename and the directory after it, every
+// step through fsys (nil means the real filesystem). A failed directory
+// sync is reported: a rename whose durability is unknown must not be
+// treated as committed.
 func WriteFileAtomicFS(fsys iofault.FS, path string, data []byte) error {
 	if fsys == nil {
 		fsys = iofault.OS{}

@@ -446,8 +446,6 @@ type (
 	MportTest = mport.Test
 	// MportFault is a weak two-port fault (W2RDF/W2DRDF/W2IRF/WCC).
 	MportFault = mport.Fault
-	// MportConfig sizes the two-port memory model.
-	MportConfig = mport.Config
 )
 
 // MportCatalog returns the modeled weak two-port fault catalog.
